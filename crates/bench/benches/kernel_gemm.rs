@@ -8,67 +8,38 @@
 //! `results/BENCH_kernels.json` with the measured speedups — each entry
 //! tagged with the kernel `backend` it ran on.
 //!
-//! The vendored criterion stand-in has no CLI parsing, so this bench
-//! carries its own `main`:
-//!
-//! * `--test` (as CI's smoke step passes) — one-rep correctness run,
-//!   no JSON write;
-//! * `--check [path]` — re-measure and fail if any speedup drops below
-//!   80% of the committed `BENCH_kernels.json` value (CI's
-//!   bench-regression guard);
-//! * no flags — full run, rewrites `results/BENCH_kernels.json`.
+//! Flags (`--test`, `--check [path]`) as in [`pcnn_bench::harness`].
 
+use pcnn_bench::harness::{time_pair, BenchArgs, Speedup};
 use pcnn_eedn::reference::{conv2d_forward, ConvSpec};
 use pcnn_eedn::{Conv2d, Layer, Scratch, Tensor};
 use pcnn_kernels::{gemm, gemm_with_backend, GemmScratch, SimdBackend};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::hint::black_box;
-use std::time::Instant;
 
 /// One timed comparison, as recorded in `results/BENCH_kernels.json`.
-#[derive(Serialize, Deserialize)]
+#[derive(Serialize)]
 struct BenchResult {
     name: String,
     dims: Vec<usize>,
     /// Kernel path and SIMD tier the `kernel_ms` column ran on, e.g.
     /// `"trinary+avx2"`; the baseline column is named in `baseline`.
-    #[serde(default)]
     backend: String,
     /// What `naive_ms` timed: the reference loops (`"naive"`) or a
     /// slower kernel backend (`"f32+scalar"`).
-    #[serde(default)]
     baseline: String,
     naive_ms: f64,
     kernel_ms: f64,
     speedup: f64,
 }
 
-#[derive(Serialize, Deserialize)]
-struct BenchDoc {
-    bench: String,
-    results: Vec<BenchResult>,
-}
-
-/// Minimum seconds per call for a baseline/kernel pair, measured
-/// **interleaved** over `reps` rounds (after one warmup each). Two
-/// defenses keep the recorded speedups reproducible enough for the
-/// `--check` regression gate on a shared box: the minimum (scheduler
-/// interference only ever adds time, so the fastest observation is the
-/// most stable estimate), and interleaving (frequency drift mid-run
-/// hits both sides equally instead of skewing their ratio).
-fn time_pair<A: FnMut(), B: FnMut()>(reps: usize, mut base: A, mut kernel: B) -> (f64, f64) {
-    base();
-    kernel();
-    let (mut best_base, mut best_kernel) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..reps {
-        let t = Instant::now();
-        base();
-        best_base = best_base.min(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        kernel();
-        best_kernel = best_kernel.min(t.elapsed().as_secs_f64());
+impl Speedup for BenchResult {
+    fn name(&self) -> &str {
+        &self.name
     }
-    (best_base, best_kernel)
+    fn speedup(&self) -> f64 {
+        self.speedup
+    }
 }
 
 fn pseudo(data: &mut [f32], seed: u64) {
@@ -94,7 +65,7 @@ struct ConvCase {
     batch: usize,
 }
 
-fn bench_conv(case: &ConvCase, trinary: bool, reps: usize, smoke: bool) -> BenchResult {
+fn bench_conv(case: &ConvCase, trinary: bool, reps: usize) -> BenchResult {
     let layer = Conv2d::new(
         case.in_ch,
         case.out_ch,
@@ -133,7 +104,7 @@ fn bench_conv(case: &ConvCase, trinary: bool, reps: usize, smoke: bool) -> Bench
 
     let name = if trinary { format!("{}_trinary", case.name) } else { case.name.to_string() };
     let (naive_s, kernel_s) = time_pair(
-        if smoke { 1 } else { reps },
+        reps,
         || {
             black_box(conv2d_forward(&spec, black_box(&w_eff), &alpha, &bias, black_box(&input)));
         },
@@ -171,7 +142,7 @@ fn bench_conv(case: &ConvCase, trinary: bool, reps: usize, smoke: bool) -> Bench
     }
 }
 
-fn bench_raw_gemm(m: usize, k: usize, n: usize, reps: usize, smoke: bool) -> BenchResult {
+fn bench_raw_gemm(m: usize, k: usize, n: usize, reps: usize) -> BenchResult {
     let mut a = vec![0.0f32; m * k];
     let mut b = vec![0.0f32; k * n];
     pseudo(&mut a, 1);
@@ -181,7 +152,7 @@ fn bench_raw_gemm(m: usize, k: usize, n: usize, reps: usize, smoke: bool) -> Ben
     let mut s = GemmScratch::default();
 
     let (naive_s, kernel_s) = time_pair(
-        if smoke { 1 } else { reps },
+        reps,
         || {
             c_naive.iter_mut().for_each(|v| *v = 0.0);
             for i in 0..m {
@@ -220,7 +191,7 @@ fn bench_raw_gemm(m: usize, k: usize, n: usize, reps: usize, smoke: bool) -> Ben
 
 /// The SIMD micro-kernel against the forced-scalar fallback on the same
 /// blocked GEMM — isolates what runtime dispatch buys over safe scalar.
-fn bench_simd_vs_scalar(m: usize, k: usize, n: usize, reps: usize, smoke: bool) -> BenchResult {
+fn bench_simd_vs_scalar(m: usize, k: usize, n: usize, reps: usize) -> BenchResult {
     let hw = pcnn_kernels::detect_backend();
     let mut a = vec![0.0f32; m * k];
     let mut b = vec![0.0f32; k * n];
@@ -232,7 +203,7 @@ fn bench_simd_vs_scalar(m: usize, k: usize, n: usize, reps: usize, smoke: bool) 
     let mut s_simd = GemmScratch::default();
 
     let (scalar_s, simd_s) = time_pair(
-        if smoke { 1 } else { reps },
+        reps,
         || {
             c_scalar.iter_mut().for_each(|v| *v = 0.0);
             gemm_with_backend(
@@ -286,50 +257,9 @@ fn bench_simd_vs_scalar(m: usize, k: usize, n: usize, reps: usize, smoke: bool) 
     }
 }
 
-/// Compares fresh measurements against a committed results file:
-/// any entry whose measured speedup falls below `floor` × committed
-/// speedup is a regression. Entries present on only one side are
-/// reported but don't fail (they have nothing to regress against).
-fn check_regressions(measured: &[BenchResult], committed_path: &str, floor: f64) {
-    let text = std::fs::read_to_string(committed_path)
-        .unwrap_or_else(|e| panic!("read {committed_path}: {e}"));
-    let committed: BenchDoc = serde_json::from_str(&text).expect("parse committed bench doc");
-    let mut failures = Vec::new();
-    for old in &committed.results {
-        let Some(new) = measured.iter().find(|r| r.name == old.name) else {
-            println!("check: {:<40} committed but not measured — skipped", old.name);
-            continue;
-        };
-        let threshold = old.speedup * floor;
-        let verdict = if new.speedup < threshold { "REGRESSED" } else { "ok" };
-        println!(
-            "check: {:<40} committed {:>7.2}x  measured {:>7.2}x  (floor {threshold:>7.2}x) {verdict}",
-            old.name, old.speedup, new.speedup,
-        );
-        if new.speedup < threshold {
-            failures.push(format!(
-                "{}: speedup {:.2}x below {:.0}% of committed {:.2}x",
-                old.name,
-                new.speedup,
-                floor * 100.0,
-                old.speedup
-            ));
-        }
-    }
-    assert!(failures.is_empty(), "bench regressions detected:\n  {}", failures.join("\n  "));
-    println!("check: no speedup fell below {:.0}% of its committed value", floor * 100.0);
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--test");
-    let check = args.iter().position(|a| a == "--check").map(|i| {
-        args.get(i + 1)
-            .filter(|p| !p.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(default_results_path)
-    });
-    let reps = if smoke { 1 } else { 20 };
+    let args = BenchArgs::parse("BENCH_kernels.json");
+    let reps = args.reps(20);
 
     let cases = [
         // Fig. 5 front: 32 -> 64 channels over a 30x30 map, 3x3 taps.
@@ -375,28 +305,12 @@ fn main() {
 
     let mut results: Vec<BenchResult> = Vec::new();
     for case in &cases {
-        results.push(bench_conv(case, false, reps, smoke));
-        results.push(bench_conv(case, true, reps, smoke));
+        results.push(bench_conv(case, false, reps));
+        results.push(bench_conv(case, true, reps));
     }
     // The raw GEMM behind the fig5 conv: (out_ch) x (in_ch*k*k) x (ho*wo).
-    results.push(bench_raw_gemm(64, 288, 900, reps, smoke));
-    results.push(bench_simd_vs_scalar(64, 288, 900, reps, smoke));
+    results.push(bench_raw_gemm(64, 288, 900, reps));
+    results.push(bench_simd_vs_scalar(64, 288, 900, reps));
 
-    if let Some(path) = check {
-        check_regressions(&results, &path, 0.8);
-        return;
-    }
-    if smoke {
-        println!("kernel_gemm: smoke mode (--test), skipping JSON write");
-        return;
-    }
-    let doc = BenchDoc { bench: "kernel_gemm".to_string(), results };
-    let path = default_results_path();
-    std::fs::write(&path, serde_json::to_string_pretty(&doc).expect("serialize"))
-        .expect("write BENCH_kernels.json");
-    println!("wrote {path}");
-}
-
-fn default_results_path() -> String {
-    concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_kernels.json").to_string()
+    args.finish("kernel_gemm", results);
 }

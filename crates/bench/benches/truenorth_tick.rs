@@ -1,32 +1,24 @@
-//! Event-engine-vs-scan timing for the TrueNorth simulator core.
+//! Event-path-vs-scan timing for the TrueNorth simulator core.
 //!
-//! Times `Engine::Event` (priority-queue deliveries, CSR integration,
-//! hot-neuron masked sweep) against `reference::run`'s per-tick scan on
-//! self-sustaining relay-ring workloads at controlled activity levels —
-//! 1%, 10% and 50% of cores stepping per tick — on a full 4096-core
-//! chip and on a 2-chip mesh, verifies both engines still agree
-//! bit-for-bit on the observable state, and writes
-//! `results/BENCH_truenorth.json` with the measured speedups.
+//! Times `System::run` (priority-queue deliveries, CSR integration,
+//! hot-neuron masked sweep, idle-tick skipping) against the
+//! `reference::Scan` oracle's per-tick scan on self-sustaining relay-ring
+//! workloads at controlled activity levels — 1%, 10% and 50% of cores
+//! stepping per tick — on a full 4096-core chip and on a 2-chip mesh,
+//! verifies the two still agree bit-for-bit on the observable state, and
+//! writes `results/BENCH_truenorth.json` with the measured speedups.
 //!
-//! The vendored criterion stand-in has no CLI parsing, so this bench
-//! carries its own `main`:
-//!
-//! * `--test` (as CI's smoke step passes) — one-rep correctness run,
-//!   no JSON write;
-//! * `--check [path]` — re-measure and fail if any speedup drops below
-//!   80% of the committed `BENCH_truenorth.json` value (CI's
-//!   bench-regression guard);
-//! * no flags — full run, rewrites `results/BENCH_truenorth.json`.
+//! Flags (`--test`, `--check [path]`) as in [`pcnn_bench::harness`].
 
+use pcnn_bench::harness::{time_pair, BenchArgs, Speedup};
+use pcnn_truenorth::reference::Scan;
 use pcnn_truenorth::{
-    reference, CoreHandle, Engine, Mesh, NeuroCoreBuilder, NeuronConfig, Placement, SpikeTarget,
-    System, CHIP_CORES,
+    CoreHandle, Mesh, NeuroCoreBuilder, NeuronConfig, Placement, SpikeTarget, System, CHIP_CORES,
 };
-use serde::{Deserialize, Serialize};
-use std::time::Instant;
+use serde::Serialize;
 
 /// One timed comparison, as recorded in `results/BENCH_truenorth.json`.
-#[derive(Serialize, Deserialize)]
+#[derive(Serialize)]
 struct BenchResult {
     name: String,
     /// cores, ring length, ticks per rep, chips.
@@ -38,28 +30,13 @@ struct BenchResult {
     speedup: f64,
 }
 
-#[derive(Serialize, Deserialize)]
-struct BenchDoc {
-    bench: String,
-    results: Vec<BenchResult>,
-}
-
-/// Minimum seconds per call over `reps` interleaved rounds (after one
-/// warmup each) — same estimator as `kernel_gemm.rs`: the minimum sheds
-/// scheduler noise, interleaving cancels frequency drift.
-fn time_pair<A: FnMut(), B: FnMut()>(reps: usize, mut base: A, mut kernel: B) -> (f64, f64) {
-    base();
-    kernel();
-    let (mut best_base, mut best_kernel) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..reps {
-        let t = Instant::now();
-        base();
-        best_base = best_base.min(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        kernel();
-        best_kernel = best_kernel.min(t.elapsed().as_secs_f64());
+impl Speedup for BenchResult {
+    fn name(&self) -> &str {
+        &self.name
     }
-    (best_base, best_kernel)
+    fn speedup(&self) -> f64 {
+        self.speedup
+    }
 }
 
 /// Builds `cores` relay cores wired into rings of `ring_len` (each core's
@@ -106,16 +83,21 @@ struct TickCase {
 fn bench_case(case: &TickCase, reps: usize, smoke: bool) -> BenchResult {
     let ticks = if smoke { case.ticks.min(64) } else { case.ticks };
 
-    // Correctness gate before timing: both engines must agree on the
-    // full observable state of this exact workload.
+    let build = || ring_system(case.cores, case.ring_len, case.seeded_rings, case.mesh_hop);
+    // Correctness gate before timing: the event path must agree with the
+    // scan on the full observable state of this exact workload.
     {
-        let mut oracle = ring_system(case.cores, case.ring_len, case.seeded_rings, case.mesh_hop);
-        oracle.set_engine(Engine::Reference);
+        let mut oracle = Scan::new(build());
         oracle.run(96);
-        let mut event = ring_system(case.cores, case.ring_len, case.seeded_rings, case.mesh_hop);
+        let mut event = build();
         event.run(96);
-        assert_eq!(event.stats(), oracle.stats(), "{}: engines diverged", case.name);
-        assert_eq!(event.rng_state(), oracle.rng_state(), "{}: RNG streams diverged", case.name);
+        assert_eq!(event.stats(), oracle.system().stats(), "{}: stats diverged", case.name);
+        assert_eq!(
+            event.rng_state(),
+            oracle.system().rng_state(),
+            "{}: RNG streams diverged",
+            case.name
+        );
         assert_eq!(
             event.drain_output_spikes(),
             oracle.drain_output_spikes(),
@@ -126,14 +108,9 @@ fn bench_case(case: &TickCase, reps: usize, smoke: bool) -> BenchResult {
 
     // The ring workload is stationary, so repeated `run(ticks)` calls on
     // a persistent system time identical work every round.
-    let mut scan_sys = ring_system(case.cores, case.ring_len, case.seeded_rings, case.mesh_hop);
-    scan_sys.set_engine(Engine::Reference);
-    let mut event_sys = ring_system(case.cores, case.ring_len, case.seeded_rings, case.mesh_hop);
-    let (scan_s, event_s) = time_pair(
-        if smoke { 1 } else { reps },
-        || reference::run(&mut scan_sys, ticks),
-        || event_sys.run(ticks),
-    );
+    let mut scan = Scan::new(build());
+    let mut event_sys = build();
+    let (scan_s, event_s) = time_pair(reps, || scan.run(ticks), || event_sys.run(ticks));
 
     let speedup = scan_s / event_s;
     let activity_pct = 100.0 * f64::from(case.seeded_rings) / f64::from(case.cores);
@@ -161,48 +138,9 @@ fn bench_case(case: &TickCase, reps: usize, smoke: bool) -> BenchResult {
     }
 }
 
-/// Same regression contract as `kernel_gemm.rs`: any measured speedup
-/// below `floor` × its committed value fails the check.
-fn check_regressions(measured: &[BenchResult], committed_path: &str, floor: f64) {
-    let text = std::fs::read_to_string(committed_path)
-        .unwrap_or_else(|e| panic!("read {committed_path}: {e}"));
-    let committed: BenchDoc = serde_json::from_str(&text).expect("parse committed bench doc");
-    let mut failures = Vec::new();
-    for old in &committed.results {
-        let Some(new) = measured.iter().find(|r| r.name == old.name) else {
-            println!("check: {:<40} committed but not measured — skipped", old.name);
-            continue;
-        };
-        let threshold = old.speedup * floor;
-        let verdict = if new.speedup < threshold { "REGRESSED" } else { "ok" };
-        println!(
-            "check: {:<40} committed {:>7.2}x  measured {:>7.2}x  (floor {threshold:>7.2}x) {verdict}",
-            old.name, old.speedup, new.speedup,
-        );
-        if new.speedup < threshold {
-            failures.push(format!(
-                "{}: speedup {:.2}x below {:.0}% of committed {:.2}x",
-                old.name,
-                new.speedup,
-                floor * 100.0,
-                old.speedup
-            ));
-        }
-    }
-    assert!(failures.is_empty(), "bench regressions detected:\n  {}", failures.join("\n  "));
-    println!("check: no speedup fell below {:.0}% of its committed value", floor * 100.0);
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--test");
-    let check = args.iter().position(|a| a == "--check").map(|i| {
-        args.get(i + 1)
-            .filter(|p| !p.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(default_results_path)
-    });
-    let reps = if smoke { 1 } else { 10 };
+    let args = BenchArgs::parse("BENCH_truenorth.json");
+    let (reps, smoke) = (args.reps(10), args.smoke);
 
     let chip = CHIP_CORES as u32;
     // 1% activity: a fixed hot set of short rings (duty-cycled chip).
@@ -260,21 +198,5 @@ fn main() {
 
     let results: Vec<BenchResult> = cases.iter().map(|c| bench_case(c, reps, smoke)).collect();
 
-    if let Some(path) = check {
-        check_regressions(&results, &path, 0.8);
-        return;
-    }
-    if smoke {
-        println!("truenorth_tick: smoke mode (--test), skipping JSON write");
-        return;
-    }
-    let doc = BenchDoc { bench: "truenorth_tick".to_string(), results };
-    let path = default_results_path();
-    std::fs::write(&path, serde_json::to_string_pretty(&doc).expect("serialize"))
-        .expect("write BENCH_truenorth.json");
-    println!("wrote {path}");
-}
-
-fn default_results_path() -> String {
-    concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_truenorth.json").to_string()
+    args.finish("truenorth_tick", results);
 }

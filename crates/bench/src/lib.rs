@@ -14,10 +14,12 @@
 //!
 //! Run them in release (`cargo run --release -p pcnn-bench --bin …`);
 //! passing `quick` as the first argument shrinks workloads for smoke
-//! testing.
+//! testing. The gated benches under `benches/` share [`harness`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod harness;
 
 use pcnn_core::{
     AbsorbedOutcome, AbsorbedSystem, Detector, EednClassifierConfig, Extractor, PartitionedSystem,

@@ -119,7 +119,8 @@ pub struct SloReport {
     pub latency: HistogramReport,
     /// The budgets the run was judged against.
     pub budget: SloBudget,
-    /// Whether every budget held.
+    /// Whether every budget held. A quantile whose rank lies beyond the
+    /// histogram's last bound never holds, whatever its budget.
     pub pass: bool,
 }
 
@@ -263,8 +264,13 @@ fn judge(
     // Every frame the tier failed to serve counts against the loss
     // budget, whether it was shed outright or timed out.
     let lost_ppm = ((shed + deadline_exceeded) * 1_000_000).checked_div(offered).unwrap_or(0);
-    let pass = p50_us.is_some_and(|p| p <= budget.p50_us)
-        && p99_us.is_some_and(|p| p <= budget.p99_us)
+    // A quantile whose rank lands in the overflow bucket saturates at the
+    // last bound, so it says nothing about the budget: it fails the gate.
+    let within = |p: Option<u64>, q: f64, budget_us: u64| {
+        p.is_some_and(|p| p <= budget_us) && !rank_overflows(&snapshot, q)
+    };
+    let pass = within(p50_us, 0.50, budget.p50_us)
+        && within(p99_us, 0.99, budget.p99_us)
         && lost_ppm <= budget.shed_ppm;
     SloReport {
         offered,
@@ -283,9 +289,49 @@ fn judge(
     }
 }
 
+/// Whether the `q`-quantile's rank (as [`pcnn_trace::quantile_from_buckets`]
+/// places it) falls among the samples above every histogram bound.
+fn rank_overflows(h: &HistogramReport, q: f64) -> bool {
+    let total = h.total();
+    total > 0 && q.clamp(0.0, 1.0) * (total - 1) as f64 >= (total - h.overflow()) as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn judged(samples_us: &[u64], budget_us: u64) -> SloReport {
+        let latency = Histogram::new(&LATENCY_BOUNDS_US);
+        for &us in samples_us {
+            latency.record(us);
+        }
+        let n = samples_us.len() as u64;
+        let budget = SloBudget { p50_us: budget_us, p99_us: budget_us, shed_ppm: 0 };
+        judge(n, n, 0, 0, 0, 0, 1.0, latency.snapshot(), budget)
+    }
+
+    #[test]
+    fn all_overflow_run_fails_the_slo() {
+        // Every frame took longer than the last bound: the quantiles
+        // saturate at exactly that bound, which a budget equal to it
+        // would otherwise accept.
+        let last = *LATENCY_BOUNDS_US.last().unwrap();
+        let report = judged(&[3 * last; 40], last);
+        assert_eq!(report.p99_us, Some(last), "quantile saturates as documented");
+        assert!(!report.pass, "an all-overflow run must fail: {report}");
+    }
+
+    #[test]
+    fn overflow_fails_only_the_quantiles_it_reaches() {
+        let last = *LATENCY_BOUNDS_US.last().unwrap();
+        // 1 of 1000 frames overflowed: the p99 rank stays in range.
+        let mut samples = vec![10_000; 999];
+        samples.push(3 * last);
+        assert!(judged(&samples, last).pass);
+        // 2% overflowed: the p99 rank lands in the overflow bucket.
+        samples.splice(..20, [3 * last; 20]);
+        assert!(!judged(&samples, last).pass);
+    }
 
     #[test]
     fn schedule_is_deterministic_and_monotone() {

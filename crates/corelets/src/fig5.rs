@@ -116,7 +116,7 @@ impl Fig5CellArray {
         self.system.set_mesh(Mesh::line(placement, hop_latency))
     }
 
-    /// Worker threads for the event engine's core stepping.
+    /// Worker threads for the simulator's core stepping.
     pub fn set_workers(&mut self, workers: usize) {
         self.system.set_workers(workers);
     }

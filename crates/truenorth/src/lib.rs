@@ -92,7 +92,7 @@ pub use neuron::{NeuronConfig, NeuronState, ResetMode};
 pub use placement::{audit_routes, Chip, ChipCoord, Mesh, Placement, RoutingAudit};
 pub use power::{PowerEstimate, PowerModel, CHIP_CORES, CHIP_POWER_MW, CORE_POWER_UW};
 pub use probe::{PotentialTrace, SpikeRaster};
-pub use system::{reference, Engine, SpikeTarget, System, SystemSnapshot, SystemStats};
+pub use system::{reference, SpikeTarget, System, SystemSnapshot, SystemStats};
 
 // Fault-injection vocabulary, re-exported so simulator users can build
 // plans without depending on `pcnn-faults` directly.

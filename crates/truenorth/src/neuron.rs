@@ -138,7 +138,7 @@ impl NeuronState {
 
     /// Like [`leak_and_fire`](NeuronState::leak_and_fire), but with the
     /// stochastic threshold offset `eta` supplied by the caller instead of
-    /// drawn here. The event-driven engine pre-draws etas serially (in the
+    /// drawn here. The event-driven tick pre-draws etas serially (in the
     /// canonical core/neuron order) so parallel core stepping consumes the
     /// exact RNG stream of the serial sweep; pass `0` for deterministic
     /// neurons.
