@@ -3,14 +3,17 @@
 //! Times the blocked GEMM, the im2col+GEMM `Conv2d` forward (f32 and
 //! the multiply-free trinary inference path), and the SIMD-vs-scalar
 //! micro-kernel spread against the golden naive loops in
-//! `pcnn_eedn::reference` at Fig. 5 representative shapes, verifies the
-//! outputs still agree bit-for-bit, and writes
+//! `pcnn_eedn::reference` at Fig. 5 representative shapes, plus batched
+//! against per-window scoring on the paper-sized Eedn window classifier;
+//! verifies the outputs still agree bit-for-bit, and writes
 //! `results/BENCH_kernels.json` with the measured speedups — each entry
 //! tagged with the kernel `backend` it ran on.
 //!
 //! Flags (`--test`, `--check [path]`) as in [`pcnn_bench::harness`].
 
 use pcnn_bench::harness::{time_pair, BenchArgs, Speedup};
+use pcnn_core::pipeline::WINDOW_BATCH;
+use pcnn_core::{EednClassifier, EednClassifierConfig, WindowClassifier};
 use pcnn_eedn::reference::{conv2d_forward, ConvSpec};
 use pcnn_eedn::{Conv2d, Layer, Scratch, Tensor};
 use pcnn_kernels::{gemm, gemm_with_backend, GemmScratch, SimdBackend};
@@ -25,12 +28,15 @@ struct BenchResult {
     /// Kernel path and SIMD tier the `kernel_ms` column ran on, e.g.
     /// `"trinary+avx2"`; the baseline column is named in `baseline`.
     backend: String,
-    /// What `naive_ms` timed: the reference loops (`"naive"`) or a
-    /// slower kernel backend (`"f32+scalar"`).
+    /// What `naive_ms` timed: the reference loops (`"naive"`), a
+    /// slower kernel backend (`"f32+scalar"`), or one classifier call
+    /// per window (`"per_window"`).
     baseline: String,
     naive_ms: f64,
     kernel_ms: f64,
     speedup: f64,
+    /// Logical CPUs and CPU model of the host the row was measured on.
+    machine: String,
 }
 
 impl Speedup for BenchResult {
@@ -40,6 +46,18 @@ impl Speedup for BenchResult {
     fn speedup(&self) -> f64 {
         self.speedup
     }
+}
+
+/// The measuring host: logical CPU count and CPU model name.
+fn machine() -> String {
+    let cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let model = cpuinfo
+        .lines()
+        .find(|l| l.starts_with("model name"))
+        .and_then(|l| l.split(':').nth(1))
+        .map_or("unknown CPU", str::trim);
+    format!("{cpus} vCPU, {model}")
 }
 
 fn pseudo(data: &mut [f32], seed: u64) {
@@ -139,6 +157,7 @@ fn bench_conv(case: &ConvCase, trinary: bool, reps: usize) -> BenchResult {
         naive_ms: naive_s * 1e3,
         kernel_ms: kernel_s * 1e3,
         speedup,
+        machine: machine(),
     }
 }
 
@@ -186,6 +205,7 @@ fn bench_raw_gemm(m: usize, k: usize, n: usize, reps: usize) -> BenchResult {
         naive_ms: naive_s * 1e3,
         kernel_ms: kernel_s * 1e3,
         speedup,
+        machine: machine(),
     }
 }
 
@@ -254,6 +274,73 @@ fn bench_simd_vs_scalar(m: usize, k: usize, n: usize, reps: usize) -> BenchResul
         naive_ms: scalar_s * 1e3,
         kernel_ms: simd_s * 1e3,
         speedup,
+        machine: machine(),
+    }
+}
+
+/// Per-window `score` against one `score_batch` call over the same
+/// `WINDOW_BATCH` descriptors, on the paper-sized Eedn classifier
+/// (7560 → 240 → 120 → 2, briefly trained on seeded data). Both sides
+/// read the same resident packed weights, so the ratio isolates what
+/// one network pass per batch buys over one pass per window.
+fn bench_eedn_classify(reps: usize) -> BenchResult {
+    let dim = 7560;
+    let mut data = vec![0.0f32; 2 * WINDOW_BATCH * dim];
+    pseudo(&mut data, 5);
+    let descriptors: Vec<Vec<f32>> = data.chunks_exact(dim).map(<[f32]>::to_vec).collect();
+    let labels: Vec<bool> = (0..descriptors.len()).map(|i| i % 2 == 0).collect();
+    let classifier = WindowClassifier::Eedn(Box::new(EednClassifier::train(
+        &descriptors[WINDOW_BATCH..],
+        &labels[WINDOW_BATCH..],
+        EednClassifierConfig { epochs: 1, ..EednClassifierConfig::default() },
+    )));
+    let windows = &descriptors[..WINDOW_BATCH];
+    let mut scratch = Scratch::default();
+    let mut buf = Vec::with_capacity(WINDOW_BATCH * dim);
+    let mut batched = || {
+        buf.clear();
+        for d in windows {
+            buf.extend_from_slice(d);
+        }
+        classifier.score_batch(&mut buf, &mut scratch)
+    };
+
+    // Correctness gate before timing: the batch must score every window
+    // exactly as the per-window path does.
+    let per_window: Vec<f32> = windows.iter().map(|d| classifier.score(d)).collect();
+    for (i, (a, b)) in batched().iter().zip(&per_window).enumerate() {
+        assert!(a.to_bits() == b.to_bits(), "window {i}: batched {a} != per-window {b}");
+    }
+
+    let (per_window_s, batch_s) = time_pair(
+        reps,
+        || {
+            for d in windows {
+                black_box(classifier.score(black_box(d)));
+            }
+        },
+        || {
+            black_box(batched());
+        },
+    );
+    let speedup = per_window_s / batch_s;
+    let name = format!("eedn_classify_{dim}_b{WINDOW_BATCH}");
+    let backend = format!("trinary+{}", pcnn_kernels::backend_label());
+    println!(
+        "bench: eedn/{name:<36} [{backend}] per-window {:>9.3}ms  batch {:>9.3}ms  speedup {speedup:>6.2}x",
+        per_window_s * 1e3,
+        batch_s * 1e3,
+    );
+    BenchResult {
+        name,
+        // windows, in_dim, hidden1, hidden2, logits
+        dims: vec![WINDOW_BATCH, dim, 240, 120, 2],
+        backend,
+        baseline: "per_window".to_string(),
+        naive_ms: per_window_s * 1e3,
+        kernel_ms: batch_s * 1e3,
+        speedup,
+        machine: machine(),
     }
 }
 
@@ -311,6 +398,7 @@ fn main() {
     // The raw GEMM behind the fig5 conv: (out_ch) x (in_ch*k*k) x (ho*wo).
     results.push(bench_raw_gemm(64, 288, 900, reps));
     results.push(bench_simd_vs_scalar(64, 288, 900, reps));
+    results.push(bench_eedn_classify(reps));
 
     args.finish("kernel_gemm", results);
 }

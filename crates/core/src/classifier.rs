@@ -6,7 +6,7 @@ use pcnn_eedn::fc::GroupedLinear;
 use pcnn_eedn::mapping::check_crossbar_fit;
 use pcnn_eedn::permute::Permute;
 use pcnn_eedn::tensor::Tensor;
-use pcnn_eedn::{Dataset, Sequential};
+use pcnn_eedn::{Dataset, Scratch, Sequential};
 use pcnn_svm::{FeatureScaler, LinearSvm};
 use serde::{Deserialize, Serialize};
 use std::ops::ControlFlow;
@@ -53,6 +53,37 @@ impl WindowClassifier {
         match self {
             WindowClassifier::Svm { model, scaler } => model.score(&scaler.apply(descriptor)),
             WindowClassifier::Eedn(c) => c.score(descriptor),
+        }
+    }
+
+    /// Scores `n` descriptors laid out row-major in `rows` (`n × dim`
+    /// floats), one score per row in row order — bit-identical to
+    /// [`score`](WindowClassifier::score) on each row.
+    ///
+    /// Each row is standardized in place, so `rows` comes back holding
+    /// the scaled features, with its allocation kept for the caller's
+    /// next batch. The Eedn network runs once over all `n` rows
+    /// (reusing `scratch`); the SVM scores row by row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows.len()` is not a multiple of the training
+    /// dimensionality.
+    pub fn score_batch(&self, rows: &mut Vec<f32>, scratch: &mut Scratch) -> Vec<f32> {
+        match self {
+            WindowClassifier::Svm { model, scaler } => {
+                assert!(
+                    rows.len().is_multiple_of(model.dim()),
+                    "descriptor dimensionality mismatch"
+                );
+                rows.chunks_exact_mut(model.dim())
+                    .map(|row| {
+                        scaler.apply_in_place(row);
+                        model.score(row)
+                    })
+                    .collect()
+            }
+            WindowClassifier::Eedn(c) => c.score_batch(rows, scratch),
         }
     }
 
@@ -462,9 +493,32 @@ impl EednClassifier {
     /// Panics if the descriptor dimensionality is wrong.
     pub fn score(&self, descriptor: &[f32]) -> f32 {
         assert_eq!(descriptor.len(), self.in_dim, "descriptor dimensionality mismatch");
-        let x = Tensor::from_rows(&[self.scaler.apply(descriptor)]);
-        let y = self.net.infer(&x);
-        y.at2(0, 1) - y.at2(0, 0)
+        self.score_batch(&mut descriptor.to_vec(), &mut Scratch::default())[0]
+    }
+
+    /// Decision values of `n` row-major descriptors in one network
+    /// pass; see [`WindowClassifier::score_batch`]. Each output element
+    /// is one ascending-order dot product whatever `n` is, so every
+    /// score is bit-identical to [`score`](EednClassifier::score) on
+    /// its row alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows.len()` is not a multiple of the input
+    /// dimensionality.
+    pub fn score_batch(&self, rows: &mut Vec<f32>, scratch: &mut Scratch) -> Vec<f32> {
+        assert!(rows.len().is_multiple_of(self.in_dim), "descriptor dimensionality mismatch");
+        let n = rows.len() / self.in_dim;
+        if n == 0 {
+            return Vec::new();
+        }
+        for row in rows.chunks_exact_mut(self.in_dim) {
+            self.scaler.apply_in_place(row);
+        }
+        let x = Tensor::from_vec(&[n, self.in_dim], std::mem::take(rows));
+        let y = self.net.infer_with(&x, scratch);
+        *rows = x.into_data();
+        (0..n).map(|i| y.at2(i, 1) - y.at2(i, 0)).collect()
     }
 
     /// Classification accuracy on a labelled set.

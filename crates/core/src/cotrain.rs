@@ -16,7 +16,7 @@
 use crate::classifier::{EednClassifier, EednClassifierConfig, WindowClassifier};
 use crate::extractor::Extractor;
 use crate::pipeline::Detector;
-use pcnn_hog::block::assemble_descriptor;
+use pcnn_hog::block::assemble_descriptor_into;
 use pcnn_svm::{mine_hard_negatives, FeatureScaler, MiningConfig, TrainConfig};
 use pcnn_vision::{SynthDataset, WINDOW_HEIGHT, WINDOW_WIDTH};
 use rand::SeedableRng;
@@ -87,9 +87,9 @@ impl PartitionedSystem {
         while cy0 + wcy <= grid.len() {
             let mut cx0 = 0;
             while cx0 + wcx <= grid[0].len() {
-                let sub: Vec<Vec<Vec<f32>>> =
-                    grid[cy0..cy0 + wcy].iter().map(|r| r[cx0..cx0 + wcx].to_vec()).collect();
-                out.push(assemble_descriptor(&sub, norm));
+                let mut descriptor = Vec::new();
+                assemble_descriptor_into(&grid[cy0..cy0 + wcy], cx0, wcx, norm, &mut descriptor);
+                out.push(descriptor);
                 cx0 += cell_stride;
             }
             cy0 += cell_stride;

@@ -13,7 +13,8 @@
 
 use crate::classifier::WindowClassifier;
 use crate::extractor::Extractor;
-use pcnn_hog::block::assemble_descriptor;
+use pcnn_eedn::Scratch;
+use pcnn_hog::block::assemble_descriptor_into;
 use pcnn_hog::cell::{cell_patch, CELL_SIZE};
 use pcnn_vision::pyramid::{scale_pyramid, PyramidConfig};
 use pcnn_vision::{
@@ -21,6 +22,16 @@ use pcnn_vision::{
     SynthScene, WINDOW_HEIGHT, WINDOW_WIDTH,
 };
 use serde::{Deserialize, Serialize};
+
+/// Windows scored per classifier call by [`Detector::score_rows`] (and
+/// the serving runtime's stream rescoring). One call runs the Eedn
+/// network once over the whole batch, amortizing per-call work and
+/// keeping the flat descriptor buffer at `64 × 7560 × 4 B ≈ 1.9 MB` for
+/// the paper-sized descriptor, whatever the range being scored. Chosen
+/// by measurement: larger batches are slower per window, because the
+/// transposed input block of a layer group outgrows the cache (see
+/// DESIGN.md "Compute kernels").
+pub const WINDOW_BATCH: usize = 64;
 
 /// Detector parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -128,15 +139,20 @@ impl Detector {
         let window_cells_x = WINDOW_WIDTH / CELL_SIZE;
         let window_cells_y = WINDOW_HEIGHT / CELL_SIZE;
         let norm = detector.extractor.norm();
+        let cols = grid.first().map_or(0, |row| (row.len() + 1).saturating_sub(window_cells_x));
+        let windows: Vec<(usize, usize)> =
+            rows.flat_map(|cy0| (0..cols).map(move |cx0| (cy0, cx0))).collect();
         let mut raw = Vec::new();
-        for cy0 in rows {
-            for cx0 in 0..=(grid[0].len() - window_cells_x) {
-                let sub: Vec<Vec<Vec<f32>>> = grid[cy0..cy0 + window_cells_y]
-                    .iter()
-                    .map(|row| row[cx0..cx0 + window_cells_x].to_vec())
-                    .collect();
-                let descriptor = assemble_descriptor(&sub, norm);
-                let score = detector.classifier.score(&descriptor);
+        let mut buf = Vec::new();
+        let mut scratch = Scratch::default();
+        for batch in windows.chunks(WINDOW_BATCH) {
+            buf.clear();
+            for &(cy0, cx0) in batch {
+                let rows = &grid[cy0..cy0 + window_cells_y];
+                assemble_descriptor_into(rows, cx0, window_cells_x, norm, &mut buf);
+            }
+            let scores = detector.classifier.score_batch(&mut buf, &mut scratch);
+            for (&(cy0, cx0), score) in batch.iter().zip(scores) {
                 if score < self.config.score_floor {
                     continue;
                 }
@@ -225,8 +241,8 @@ mod tests {
         });
         let ex = Extractor::napprox_fp(BlockNorm::L2);
         let grid = Detector::cell_grid(&ex, &img);
-        let sub: Vec<Vec<Vec<f32>>> = grid[1..17].iter().map(|r| r[2..10].to_vec()).collect();
-        let from_grid = assemble_descriptor(&sub, BlockNorm::L2);
+        let mut from_grid = Vec::new();
+        assemble_descriptor_into(&grid[1..17], 2, 8, BlockNorm::L2, &mut from_grid);
         let direct = ex.window_descriptor(&img, 16, 8);
         assert_eq!(from_grid.len(), direct.len());
         for (a, b) in from_grid.iter().zip(&direct) {

@@ -25,6 +25,13 @@
 //! weights, and transposed back — each output element still accumulates
 //! its inputs in ascending order, so the result is bit-identical to the
 //! f32 path. Training stays on the f32 GEMMs.
+//!
+//! The packed weights are **resident**: the first inference call
+//! trinarizes and packs every group once and caches the bitplanes in
+//! the layer; later calls only read them. Every `&mut self` path
+//! (`forward_with`, `step`, `debug_set_shadow_weights`) drops the cache,
+//! and a deserialized layer starts without one, so inference always
+//! packs the current shadow weights.
 
 use crate::init::trinary_uniform;
 use crate::layer::Layer;
@@ -32,8 +39,11 @@ use crate::optimizer::adam_update;
 use crate::reference::LinearSpec;
 use crate::tensor::Tensor;
 use crate::trinary::{clip_shadow, trinarize, trinarize_into};
-use pcnn_kernels::{gemm, gemm_abt, gemm_atb, gemm_trinary, take_resized, take_zeroed, Scratch};
+use pcnn_kernels::{
+    gemm, gemm_abt, gemm_atb, gemm_trinary, take_resized, take_zeroed, Scratch, TrinaryMatrix,
+};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// A grouped, optionally trinary, fully-connected layer.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -62,6 +72,10 @@ pub struct GroupedLinear {
     cached_input: Option<Tensor>,
     #[serde(skip)]
     cached_pre_scale: Option<Tensor>,
+    /// Deployed weights packed per group for the trinary inference path
+    /// (not persisted; built on first inference, dropped on mutation).
+    #[serde(skip)]
+    packed: OnceLock<Vec<TrinaryMatrix>>,
 }
 
 impl GroupedLinear {
@@ -104,6 +118,7 @@ impl GroupedLinear {
             steps: 0,
             cached_input: None,
             cached_pre_scale: None,
+            packed: OnceLock::new(),
         }
     }
 
@@ -200,6 +215,7 @@ impl GroupedLinear {
     pub fn debug_set_shadow_weights(&mut self, w: &[f32]) {
         assert_eq!(w.len(), self.w.len(), "weight count mismatch");
         self.w.copy_from_slice(w);
+        self.packed.take();
     }
 
     /// The pure forward computation: `(pre-scale, output)`.
@@ -253,10 +269,27 @@ impl GroupedLinear {
         }
     }
 
+    /// The deployed weights of every group as packed bitplanes, built
+    /// on first use and kept until the next `&mut self` call.
+    fn packed_groups(&self) -> &[TrinaryMatrix] {
+        self.packed.get_or_init(|| {
+            let (in_g, out_g) = (self.in_dim / self.groups, self.out_dim / self.groups);
+            self.effective_weights()
+                .chunks_exact(out_g * in_g)
+                .map(|wg| {
+                    let mut m = TrinaryMatrix::default();
+                    m.pack(wg, in_g, out_g, in_g);
+                    m
+                })
+                .collect()
+        })
+    }
+
     /// The multiply-free inference path. `pre_gᵀ [out_g × batch] =
     /// W⟨tri⟩_g · X_gᵀ [in_g × batch]`: each output element is one
-    /// ascending-input bit walk over the packed weight row, the same
-    /// accumulation order as the f32 `gemm_abt` — so bit-identical.
+    /// ascending-input bit walk over the resident packed weight row, the
+    /// same accumulation order as the f32 `gemm_abt` — so bit-identical,
+    /// whatever the batch size.
     fn infer_trinary_with(&self, input: &Tensor, s: &mut Scratch) -> Tensor {
         assert!(self.trinary, "trinary path on a float layer");
         assert_eq!(input.shape().len(), 2, "GroupedLinear takes (batch, features)");
@@ -264,14 +297,11 @@ impl GroupedLinear {
         let batch = input.shape()[0];
         let (in_g, out_g) = (self.in_dim / self.groups, self.out_dim / self.groups);
         let mut pre = Tensor::zeros(&[batch, self.out_dim]);
-        let Scratch { wbuf, wtri, bt, ct, .. } = s;
-        // trinarize_into and the transpose pack overwrite every
-        // element of their targets, so plain resizes avoid wasted
-        // zeroing passes; `ct` stays zeroed — the GEMM accumulates.
-        let wb = take_resized(wbuf, self.w.len());
-        trinarize_into(&self.w, wb);
-        for g in 0..self.groups {
-            wtri.pack(&wb[g * out_g * in_g..][..out_g * in_g], in_g, out_g, in_g);
+        let Scratch { bt, ct, .. } = s;
+        // The transpose pack overwrites every element of `bt`, so a plain
+        // resize avoids a wasted zeroing pass; `ct` stays zeroed — the
+        // GEMM accumulates.
+        for (g, wg) in self.packed_groups().iter().enumerate() {
             let btb = take_resized(bt, in_g * batch);
             for n in 0..batch {
                 for (i, row) in btb.chunks_exact_mut(batch).enumerate() {
@@ -279,7 +309,7 @@ impl GroupedLinear {
                 }
             }
             let ctb = take_zeroed(ct, out_g * batch);
-            gemm_trinary(wtri, batch, btb, batch, ctb, batch);
+            gemm_trinary(wg, batch, btb, batch, ctb, batch);
             for n in 0..batch {
                 let prow = &mut pre.data_mut()[n * self.out_dim + g * out_g..][..out_g];
                 for (ol, pv) in prow.iter_mut().enumerate() {
@@ -309,6 +339,7 @@ impl Layer for GroupedLinear {
     }
 
     fn forward_with(&mut self, input: &Tensor, train: bool, scratch: &mut Scratch) -> Tensor {
+        self.packed.take();
         let (pre, out) = self.apply_with(input, scratch);
         if train {
             self.cached_input = Some(input.clone());
@@ -375,6 +406,7 @@ impl Layer for GroupedLinear {
         // normalization is what lets shadow weights (whose raw gradients
         // carry an O(alpha) factor), alpha and bias all train at the same
         // effective rate.
+        self.packed.take();
         self.steps += 1;
         let t = self.steps;
         let trinary = self.trinary;

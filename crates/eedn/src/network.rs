@@ -79,15 +79,16 @@ impl Sequential {
     /// [`infer`](Sequential::infer) reusing caller-owned scratch buffers
     /// — the entry point for serving loops that process many inputs
     /// (each worker thread keeps its own `Scratch`). Bit-identical to
-    /// [`infer`](Sequential::infer).
+    /// [`infer`](Sequential::infer). The first layer reads `input` in
+    /// place; only an empty network copies it.
     pub fn infer_with(&self, input: &Tensor, scratch: &mut Scratch) -> Tensor {
         let pass = pcnn_trace::span(pcnn_trace::stages::EEDN_INFER);
-        let mut x = input.clone();
+        let mut x: Option<Tensor> = None;
         for layer in &self.layers {
             let _layer_span = pass.is_recording().then(|| pcnn_trace::span(layer.span_label()));
-            x = layer.infer_with(&x, scratch);
+            x = Some(layer.infer_with(x.as_ref().unwrap_or(input), scratch));
         }
-        x
+        x.unwrap_or_else(|| input.clone())
     }
 
     /// Runs inference.

@@ -80,6 +80,11 @@ impl Tensor {
         &mut self.data
     }
 
+    /// Unwraps the flat data, handing its allocation back to the caller.
+    pub fn into_data(self) -> Vec<f32> {
+        self.data
+    }
+
     /// Reinterprets the tensor with a new shape of equal volume.
     ///
     /// # Panics

@@ -74,47 +74,74 @@ fn l2(v: &mut [f32]) {
 /// Panics if the grid is empty or ragged.
 pub fn assemble_descriptor(grid: &[Vec<Vec<f32>>], norm: BlockNorm) -> Vec<f32> {
     assert!(!grid.is_empty() && !grid[0].is_empty(), "empty cell grid");
-    let cells_y = grid.len();
     let cells_x = grid[0].len();
-    let bins = grid[0][0].len();
     for row in grid {
         assert_eq!(row.len(), cells_x, "ragged cell grid");
-        for h in row {
-            assert_eq!(h.len(), bins, "ragged histogram");
+    }
+    let mut out = Vec::new();
+    assemble_descriptor_into(grid, 0, cells_x, norm, &mut out);
+    out
+}
+
+/// Appends the descriptor of the window whose cells are
+/// `rows[cy][cx0..cx0 + cells_x]` to `out` — the window spans every row
+/// of `rows`, read straight from a larger cell grid without copying it.
+/// The appended values are exactly what [`assemble_descriptor`] returns
+/// for that sub-grid, so detectors can fill a flat batch buffer one
+/// window after another.
+///
+/// # Panics
+///
+/// Panics if the window is empty, a row is too short, the histograms
+/// differ in length, or blocks are requested on a window smaller than
+/// one block.
+pub fn assemble_descriptor_into<R: AsRef<[Vec<f32>]>>(
+    rows: &[R],
+    cx0: usize,
+    cells_x: usize,
+    norm: BlockNorm,
+    out: &mut Vec<f32>,
+) {
+    assert!(!rows.is_empty() && cells_x > 0, "empty cell grid");
+    for row in rows {
+        assert!(row.as_ref().len() >= cx0 + cells_x, "window extends past the cell grid");
+    }
+    let cells_y = rows.len();
+    let cell = |cy: usize, cx: usize| -> &[f32] { &rows[cy].as_ref()[cx0 + cx] };
+    let bins = cell(0, 0).len();
+    for cy in 0..cells_y {
+        for cx in 0..cells_x {
+            assert_eq!(cell(cy, cx).len(), bins, "ragged histogram");
         }
     }
     match norm {
         BlockNorm::None => {
-            let mut out = Vec::with_capacity(cells_x * cells_y * bins);
-            for row in grid {
-                for h in row {
-                    out.extend_from_slice(h);
+            out.reserve(cells_x * cells_y * bins);
+            for cy in 0..cells_y {
+                for cx in 0..cells_x {
+                    out.extend_from_slice(cell(cy, cx));
                 }
             }
-            out
         }
         _ => {
             assert!(
                 cells_x >= BLOCK_CELLS && cells_y >= BLOCK_CELLS,
                 "window too small for {BLOCK_CELLS}x{BLOCK_CELLS} blocks"
             );
-            let blocks_x = cells_x - BLOCK_CELLS + 1;
-            let blocks_y = cells_y - BLOCK_CELLS + 1;
-            let mut out =
-                Vec::with_capacity(blocks_x * blocks_y * BLOCK_CELLS * BLOCK_CELLS * bins);
-            for by in 0..blocks_y {
-                for bx in 0..blocks_x {
-                    let mut block = Vec::with_capacity(BLOCK_CELLS * BLOCK_CELLS * bins);
+            out.reserve(descriptor_len(cells_x, cells_y, bins, norm));
+            for by in 0..=cells_y - BLOCK_CELLS {
+                for bx in 0..=cells_x - BLOCK_CELLS {
+                    // Normalize the block where it lands: the same
+                    // arithmetic as on a separate block vector.
+                    let start = out.len();
                     for dy in 0..BLOCK_CELLS {
                         for dx in 0..BLOCK_CELLS {
-                            block.extend_from_slice(&grid[by + dy][bx + dx]);
+                            out.extend_from_slice(cell(by + dy, bx + dx));
                         }
                     }
-                    norm.apply(&mut block);
-                    out.extend_from_slice(&block);
+                    norm.apply(&mut out[start..]);
                 }
             }
-            out
         }
     }
 }
@@ -216,6 +243,24 @@ mod tests {
         for norm in [BlockNorm::L2, BlockNorm::L1, BlockNorm::L2Hys] {
             let d = assemble_descriptor(&g, norm);
             assert!(d.iter().all(|v| v.is_finite()));
+        }
+    }
+
+    #[test]
+    fn into_matches_sub_grid_copy() {
+        // A window read in place from a wider grid equals the copied
+        // sub-grid's descriptor, appended after what `out` already holds.
+        let g = grid(6, 5, 3);
+        for norm in [BlockNorm::None, BlockNorm::L2, BlockNorm::L1, BlockNorm::L2Hys] {
+            let sub: Vec<Vec<Vec<f32>>> = g[1..4].iter().map(|row| row[2..5].to_vec()).collect();
+            let want = assemble_descriptor(&sub, norm);
+            let mut out = vec![7.0];
+            assemble_descriptor_into(&g[1..4], 2, 3, norm, &mut out);
+            assert_eq!(out[0], 7.0);
+            assert_eq!(
+                out[1..].iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            );
         }
     }
 

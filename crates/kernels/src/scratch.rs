@@ -17,20 +17,23 @@ pub struct Scratch {
     pub col: Vec<f32>,
     /// Gradient column matrix fed to `col2im`.
     pub dcol: Vec<f32>,
-    /// Effective (projected) weights when a layer trains trinary.
+    /// Effective (projected) weights when a layer trains trinary, and
+    /// for the trinary `Conv2d` inference pack. `GroupedLinear`
+    /// inference does not use it: its packs are resident in the layer.
     pub wbuf: Vec<f32>,
     /// Upstream gradient scaled by `alpha`, in GEMM layout.
     pub dbuf: Vec<f32>,
     /// Weight matrix packed once per call and reused across the batch.
     pub wpack: PackedA,
-    /// Trinary weight bitplanes packed once per call on the inference
-    /// path and reused across the batch.
+    /// Trinary weight bitplanes packed once per call on the trinary
+    /// `Conv2d` inference path and reused across the batch (one group
+    /// at a time). `GroupedLinear` keeps its own packs resident instead.
     pub wtri: TrinaryMatrix,
-    /// Transposed input block (`in × batch`) for the trinary linear
-    /// path.
+    /// Transposed input block (`in_g × batch`) of one group on the
+    /// trinary linear path.
     pub bt: Vec<f32>,
-    /// Transposed output block (`out × batch`) for the trinary linear
-    /// path.
+    /// Transposed output block (`out_g × batch`) of one group on the
+    /// trinary linear path.
     pub ct: Vec<f32>,
 }
 

@@ -67,9 +67,10 @@ impl TrinaryStats {
 ///
 /// Bit `j % 64` of word `row * words_per_row + j / 64` in `plus`
 /// (resp. `minus`) is set when element `(row, j)` is `+1.0` (resp.
-/// `-1.0`); zeros set neither. Built once per deployed weight matrix
-/// and reused across every inference call (see
-/// [`Scratch`](crate::Scratch)).
+/// `-1.0`); zeros set neither. Meant to be built once per deployed
+/// weight matrix and reused: `pcnn_eedn`'s grouped linear layer keeps
+/// one per group resident across inference calls, its convolution packs
+/// into [`Scratch`](crate::Scratch) once per call.
 #[derive(Debug, Default, Clone)]
 pub struct TrinaryMatrix {
     plus: Vec<u64>,

@@ -21,10 +21,11 @@ use crate::queue::{Backpressure, PushError, QueueConfig, RequestQueue};
 use crate::scheduler::{plan_chunks, try_parallel_map, WorkerPanic};
 use crate::stream::{StreamFrameResult, StreamHandle, StreamState};
 use crate::supervise::RetryPolicy;
-use pcnn_core::pipeline::{Detector, TrainedDetector};
+use pcnn_core::pipeline::{Detector, TrainedDetector, WINDOW_BATCH};
 use pcnn_core::{Error, StreamId};
-use pcnn_hog::block::assemble_descriptor;
+use pcnn_hog::block::assemble_descriptor_into;
 use pcnn_hog::cell::{cell_patch, CELL_SIZE};
+use pcnn_kernels::Scratch;
 use pcnn_truenorth::SystemStats;
 use pcnn_vision::pyramid::scale_pyramid;
 use pcnn_vision::{
@@ -735,24 +736,28 @@ impl<'d> DetectionServer<'d> {
                 }
             }
         }
+        // Rescore in WINDOW_BATCH chunks in (level, row, column) order:
+        // the same descriptors and classifier as Detector::score_rows,
+        // one batched classifier call per chunk.
         let norm = detector.extractor.norm();
+        let batches: Vec<&[(usize, usize)]> = rescore.chunks(WINDOW_BATCH).collect();
         let scores = {
             let cache_view: &CellCache = cache;
-            try_parallel_map(workers, rescore.len(), |i| {
-                let (l, w) = rescore[i];
-                let lc = &cache_view.levels()[l];
-                let (_, cols) = window_dims(lc, window_cells_x, window_cells_y);
-                let (cy0, cx0) = (w / cols, w % cols);
-                // Reproduces Detector::score_rows's window computation
-                // exactly: same sub-grid, descriptor and classifier.
-                let sub: Vec<Vec<Vec<f32>>> = (cy0..cy0 + window_cells_y)
-                    .map(|cy| {
-                        lc.histograms[cy * lc.cells_x + cx0..cy * lc.cells_x + cx0 + window_cells_x]
-                            .to_vec()
-                    })
-                    .collect();
-                let descriptor = assemble_descriptor(&sub, norm);
-                detector.classifier.score(&descriptor)
+            let level_rows: Vec<Vec<&[Vec<f32>]>> = cache_view
+                .levels()
+                .iter()
+                .map(|lc| lc.histograms.chunks(lc.cells_x.max(1)).collect())
+                .collect();
+            try_parallel_map(workers, batches.len(), |i| {
+                let mut buf = Vec::new();
+                for &(l, w) in batches[i] {
+                    let (_, cols) =
+                        window_dims(&cache_view.levels()[l], window_cells_x, window_cells_y);
+                    let (cy0, cx0) = (w / cols, w % cols);
+                    let rows = &level_rows[l][cy0..cy0 + window_cells_y];
+                    assemble_descriptor_into(rows, cx0, window_cells_x, norm, &mut buf);
+                }
+                detector.classifier.score_batch(&mut buf, &mut Scratch::default())
             })
         };
         if let Some(p) = scores.iter().find_map(|r| r.as_ref().err()) {
@@ -763,8 +768,9 @@ impl<'d> DetectionServer<'d> {
         }
         {
             let levels = cache.levels_mut(n_levels);
+            let scores = scores.into_iter().flat_map(|s| s.expect("errors returned above"));
             for (&(l, w), s) in rescore.iter().zip(scores) {
-                levels[l].window_scores[w] = s.expect("errors returned above");
+                levels[l].window_scores[w] = s;
             }
         }
         self.metrics.add_windows(rescore.len() as u64);
