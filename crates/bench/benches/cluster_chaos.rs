@@ -5,19 +5,18 @@
 //! failover + warm respawn shows up as a p99/throughput delta instead
 //! of an anecdote. Writes `results/BENCH_chaos.json`.
 //!
-//! The vendored criterion stand-in has no CLI parsing, so this bench
-//! carries its own `main`: pass `--test` (as CI does) for a short smoke
-//! run. Smoke mode still writes the JSON — CI uploads it as an
-//! artifact on every run, so the document carries a `smoke` flag
-//! instead of being skipped.
+//! Flags (`--test`) as in [`pcnn_bench::harness`]; nothing here is
+//! gated, so `--check` does not apply.
 
+use pcnn_bench::harness::BenchArgs;
+use pcnn_bench::small_svm_detector;
 use pcnn_cluster::{
-    run_stream_slo, ChaosEvent, ChaosPlan, Cluster, ClusterConfig, SloBudget, StreamFrame,
+    run_stream_slo, ChaosEvent, ChaosPlan, Cluster, ClusterConfig, SloBudget, SloReport,
+    StreamFrame,
 };
-use pcnn_core::{Extractor, PartitionedSystem, StreamId, TrainSetConfig, TrainedDetector};
-use pcnn_hog::BlockNorm;
+use pcnn_core::{DetectorSnapshot, StreamId};
 use pcnn_runtime::{Backpressure, RetryPolicy};
-use pcnn_vision::{SynthConfig, SynthDataset, TemporalConfig, VideoStream};
+use pcnn_vision::{TemporalConfig, VideoStream};
 use serde::Serialize;
 use std::time::Duration;
 
@@ -25,16 +24,7 @@ use std::time::Duration;
 #[derive(Serialize)]
 struct ScenarioResult {
     scenario: String,
-    offered: u64,
-    served: u64,
-    shed: u64,
-    deadline_exceeded: u64,
-    retried_served: u64,
-    wall_s: f64,
-    throughput_fps: f64,
-    p50_us: Option<u64>,
-    p99_us: Option<u64>,
-    slo_pass: bool,
+    slo: SloReport,
     failovers: u64,
     respawns: u64,
     retries: u64,
@@ -42,26 +32,14 @@ struct ScenarioResult {
 
 #[derive(Serialize)]
 struct BenchDoc {
-    bench: String,
-    smoke: bool,
     shards: u32,
     workers: usize,
     streams: u64,
     frames: usize,
-    budget: SloBudget,
     /// p99 under a one-shard kill over p99 clean, as a percentage
     /// (100 = no degradation), when both quantiles resolved.
     p99_kill_over_clean_pct: Option<f64>,
     results: Vec<ScenarioResult>,
-}
-
-fn trained() -> TrainedDetector {
-    let ds = SynthDataset::new(SynthConfig::default());
-    PartitionedSystem::train_svm_detector(
-        Extractor::napprox_fp(BlockNorm::L2),
-        &ds,
-        TrainSetConfig { n_pos: 60, n_neg: 120, mining_scenes: 1, mining_rounds: 1 },
-    )
 }
 
 fn interleaved(streams: u64, per_stream: u64) -> Vec<StreamFrame> {
@@ -79,8 +57,7 @@ fn interleaved(streams: u64, per_stream: u64) -> Vec<StreamFrame> {
     frames
 }
 
-fn cluster(shards: u32, workers: usize) -> Cluster {
-    let snapshot = trained().to_snapshot();
+fn cluster(snapshot: &DetectorSnapshot, shards: u32, workers: usize) -> Cluster {
     let config = ClusterConfig::builder()
         .shards(shards)
         .router_seed(7)
@@ -94,42 +71,46 @@ fn cluster(shards: u32, workers: usize) -> Cluster {
         })
         .build()
         .expect("valid cluster config");
-    Cluster::new(&snapshot, config).expect("valid cluster")
+    Cluster::new(snapshot, config).expect("valid cluster")
+}
+
+/// Serves `frames` on `cluster` under `plan` and records the SLO
+/// outcome with the cluster's self-healing counters.
+fn scenario(
+    name: &str,
+    cluster: &Cluster,
+    frames: &[StreamFrame],
+    budget: SloBudget,
+    plan: Option<&ChaosPlan>,
+) -> ScenarioResult {
+    let slo = run_stream_slo(cluster, frames, budget, plan);
+    let report = cluster.report();
+    println!(
+        "bench: chaos/{name} {slo}  [{} failovers, {} respawns, {} retries]",
+        report.failovers, report.respawns, report.retries
+    );
+    ScenarioResult {
+        scenario: name.to_string(),
+        slo,
+        failovers: report.failovers,
+        respawns: report.respawns,
+        retries: report.retries,
+    }
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--test");
+    let args = BenchArgs::parse("BENCH_chaos.json");
+    let snapshot = small_svm_detector().to_snapshot();
     let (shards, workers) = (3u32, 2usize);
-    let (streams, per_stream) = if smoke { (3u64, 4u64) } else { (4u64, 8u64) };
+    let (streams, per_stream) = if args.smoke { (3u64, 4u64) } else { (4u64, 8u64) };
     let frames = interleaved(streams, per_stream);
     // The stream path's latency histogram spreads wall time uniformly
     // over served frames, so the budgets here bound mean service time.
     let budget = SloBudget { p50_us: 1_000_000, p99_us: 2_000_000, shed_ppm: 0 };
 
-    let mut results = Vec::new();
+    let clean = scenario("clean", &cluster(&snapshot, shards, workers), &frames, budget, None);
 
-    let clean = cluster(shards, workers);
-    let clean_slo = run_stream_slo(&clean, &frames, budget, None);
-    let clean_report = clean.report();
-    println!("bench: chaos/clean {clean_slo}");
-    results.push(ScenarioResult {
-        scenario: "clean".to_string(),
-        offered: clean_slo.offered,
-        served: clean_slo.served,
-        shed: clean_slo.shed,
-        deadline_exceeded: clean_slo.deadline_exceeded,
-        retried_served: clean_slo.retried_served,
-        wall_s: clean_slo.wall_s,
-        throughput_fps: clean_slo.throughput_fps,
-        p50_us: clean_slo.p50_us,
-        p99_us: clean_slo.p99_us,
-        slo_pass: clean_slo.pass,
-        failovers: clean_report.failovers,
-        respawns: clean_report.respawns,
-        retries: clean_report.retries,
-    });
-
-    let chaotic = cluster(shards, workers);
+    let chaotic = cluster(&snapshot, shards, workers);
     let victim = chaotic.route(StreamId::new(0));
     let mut plan =
         ChaosPlan::new(0xDAC17).with_event(ChaosEvent::KillShard { shard: victim, at_frame: 2 });
@@ -138,47 +119,20 @@ fn main() {
     {
         plan = plan.with_event(ChaosEvent::FailFrame { shard: other, at_frame: 0 });
     }
-    let chaos_slo = run_stream_slo(&chaotic, &frames, budget, Some(&plan));
-    let chaos_report = chaotic.report();
-    println!(
-        "bench: chaos/one-shard-kill {chaos_slo}  [{} failovers, {} respawns, {} retries]",
-        chaos_report.failovers, chaos_report.respawns, chaos_report.retries
-    );
-    results.push(ScenarioResult {
-        scenario: "one-shard-kill".to_string(),
-        offered: chaos_slo.offered,
-        served: chaos_slo.served,
-        shed: chaos_slo.shed,
-        deadline_exceeded: chaos_slo.deadline_exceeded,
-        retried_served: chaos_slo.retried_served,
-        wall_s: chaos_slo.wall_s,
-        throughput_fps: chaos_slo.throughput_fps,
-        p50_us: chaos_slo.p50_us,
-        p99_us: chaos_slo.p99_us,
-        slo_pass: chaos_slo.pass,
-        failovers: chaos_report.failovers,
-        respawns: chaos_report.respawns,
-        retries: chaos_report.retries,
-    });
+    let kill = scenario("one-shard-kill", &chaotic, &frames, budget, Some(&plan));
 
-    let p99_kill_over_clean_pct = match (chaos_slo.p99_us, clean_slo.p99_us) {
+    let p99_kill_over_clean_pct = match (kill.slo.p99_us, clean.slo.p99_us) {
         (Some(kill), Some(clean)) if clean > 0 => Some(100.0 * kill as f64 / clean as f64),
         _ => None,
     };
 
     let doc = BenchDoc {
-        bench: "cluster_chaos".to_string(),
-        smoke,
         shards,
         workers,
         streams,
         frames: frames.len(),
-        budget,
         p99_kill_over_clean_pct,
-        results,
+        results: vec![clean, kill],
     };
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_chaos.json");
-    std::fs::write(path, serde_json::to_string_pretty(&doc).expect("serialize"))
-        .expect("write BENCH_chaos.json");
-    println!("wrote {path}");
+    args.finish_ungated("cluster_chaos", &doc);
 }

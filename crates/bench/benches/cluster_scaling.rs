@@ -5,17 +5,14 @@
 //! schedule-to-completion budgets, times a blue/green model swap on the
 //! loaded tier, and writes `results/BENCH_cluster.json`.
 //!
-//! The vendored criterion stand-in has no CLI parsing, so this bench
-//! carries its own `main`: pass `--test` (as CI does) for a short smoke
-//! run. Unlike the kernel benches, smoke mode still writes the JSON —
-//! CI uploads `BENCH_cluster.json` as an artifact on every run, so the
-//! document carries a `smoke` flag instead of being skipped.
+//! Flags (`--test`) as in [`pcnn_bench::harness`]; nothing here is
+//! gated, so `--check` does not apply.
 
-use pcnn_cluster::{arrivals, run_slo, Cluster, ClusterConfig, LoadProfile, SloBudget};
-use pcnn_core::{Extractor, PartitionedSystem, TrainSetConfig, TrainedDetector};
-use pcnn_hog::BlockNorm;
+use pcnn_bench::harness::BenchArgs;
+use pcnn_bench::{small_svm_detector, standard_dataset};
+use pcnn_cluster::{arrivals, run_slo, Cluster, ClusterConfig, LoadProfile, SloBudget, SloReport};
 use pcnn_runtime::{Backpressure, RuntimeConfig};
-use pcnn_vision::{GrayImage, SynthConfig, SynthDataset};
+use pcnn_vision::GrayImage;
 use serde::Serialize;
 use std::time::Instant;
 
@@ -25,14 +22,7 @@ use std::time::Instant;
 struct BenchResult {
     shards: u32,
     workers: usize,
-    offered: u64,
-    served: u64,
-    shed: u64,
-    wall_s: f64,
-    throughput_fps: f64,
-    p50_us: Option<u64>,
-    p99_us: Option<u64>,
-    slo_pass: bool,
+    slo: SloReport,
     /// Wall time of a full rolling blue/green swap issued right after
     /// the load run, with the tier's queues and pools warm.
     swap_ms: f64,
@@ -40,29 +30,15 @@ struct BenchResult {
 
 #[derive(Serialize)]
 struct BenchDoc {
-    bench: String,
-    smoke: bool,
-    rate_hz: f64,
-    frames: usize,
-    budget: SloBudget,
+    profile: LoadProfile,
     results: Vec<BenchResult>,
 }
 
-fn trained() -> TrainedDetector {
-    let ds = SynthDataset::new(SynthConfig::default());
-    PartitionedSystem::train_svm_detector(
-        Extractor::napprox_fp(BlockNorm::L2),
-        &ds,
-        TrainSetConfig { n_pos: 60, n_neg: 120, mining_scenes: 1, mining_rounds: 1 },
-    )
-}
-
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--test");
-    let detector = trained();
-    let snapshot = detector.to_snapshot();
+    let args = BenchArgs::parse("BENCH_cluster.json");
+    let snapshot = small_svm_detector().to_snapshot();
 
-    let ds = SynthDataset::new(SynthConfig::default());
+    let ds = standard_dataset();
     let scenes: Vec<GrayImage> = (0..4u64).map(|i| ds.test_scene(i).image.clone()).collect();
 
     // The offered rate must be sustainable on the smallest CI host (the
@@ -73,7 +49,7 @@ fn main() {
         seed: 0xDAC17,
         streams: 8,
         rate_hz: 6.0,
-        frames: if smoke { 12 } else { 60 },
+        frames: if args.smoke { 12 } else { 60 },
     };
     let schedule = arrivals(&profile);
     let budget = SloBudget { p50_us: 400_000, p99_us: 1_500_000, shed_ppm: 0 };
@@ -98,31 +74,8 @@ fn main() {
         cluster.swap_model(&snapshot).expect("swap on warm tier");
         let swap_ms = swap_start.elapsed().as_secs_f64() * 1e3;
         println!("bench: cluster/shards={shards} {slo}  swap {swap_ms:.2}ms");
-        results.push(BenchResult {
-            shards,
-            workers: config.runtime.workers,
-            offered: slo.offered,
-            served: slo.served,
-            shed: slo.shed,
-            wall_s: slo.wall_s,
-            throughput_fps: slo.throughput_fps,
-            p50_us: slo.p50_us,
-            p99_us: slo.p99_us,
-            slo_pass: slo.pass,
-            swap_ms,
-        });
+        results.push(BenchResult { shards, workers: config.runtime.workers, slo, swap_ms });
     }
 
-    let doc = BenchDoc {
-        bench: "cluster_scaling".to_string(),
-        smoke,
-        rate_hz: profile.rate_hz,
-        frames: profile.frames,
-        budget,
-        results,
-    };
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_cluster.json");
-    std::fs::write(path, serde_json::to_string_pretty(&doc).expect("serialize"))
-        .expect("write BENCH_cluster.json");
-    println!("wrote {path}");
+    args.finish_ungated("cluster_scaling", &BenchDoc { profile, results });
 }

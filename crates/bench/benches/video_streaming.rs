@@ -9,16 +9,15 @@
 //! `results/BENCH_streaming.json` with per-scene throughput, speedup
 //! and cache hit rate.
 //!
-//! The vendored criterion stand-in has no CLI parsing, so this bench
-//! carries its own `main`: pass `--test` (as CI does) for a short smoke
-//! run. Smoke mode still writes the JSON, flagged `smoke`, so CI can
-//! upload the artifact on every run.
+//! Flags (`--test`) as in [`pcnn_bench::harness`]; nothing here is
+//! gated, so `--check` does not apply.
 
+use pcnn_bench::harness::BenchArgs;
+use pcnn_bench::small_svm_detector;
 use pcnn_core::pipeline::Detector;
-use pcnn_core::{Extractor, PartitionedSystem, StreamId, TrainSetConfig, TrainedDetector};
-use pcnn_hog::BlockNorm;
+use pcnn_core::{StreamId, TrainedDetector};
 use pcnn_runtime::{DetectionServer, RuntimeConfig};
-use pcnn_vision::{GrayImage, SynthConfig, SynthDataset, TemporalConfig, VideoStream};
+use pcnn_vision::{GrayImage, TemporalConfig, VideoStream};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -42,19 +41,8 @@ struct SceneResult {
 
 #[derive(Serialize)]
 struct BenchDoc {
-    bench: String,
-    smoke: bool,
     workers: usize,
     results: Vec<SceneResult>,
-}
-
-fn trained() -> TrainedDetector {
-    let ds = SynthDataset::new(SynthConfig::default());
-    PartitionedSystem::train_svm_detector(
-        Extractor::napprox_fp(BlockNorm::L2),
-        &ds,
-        TrainSetConfig { n_pos: 60, n_neg: 120, mining_scenes: 1, mining_rounds: 1 },
-    )
 }
 
 fn bench_scene(
@@ -113,10 +101,10 @@ fn bench_scene(
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--test");
-    let detector = trained();
+    let args = BenchArgs::parse("BENCH_streaming.json");
+    let detector = small_svm_detector();
     let workers = 2;
-    let frames = if smoke { 6 } else { 30 };
+    let frames = if args.smoke { 6 } else { 30 };
 
     let results = vec![
         bench_scene("static", TemporalConfig::static_scene(3), &detector, workers, frames),
@@ -128,9 +116,5 @@ fn main() {
         "streaming output must be bit-identical to the cold per-frame run"
     );
 
-    let doc = BenchDoc { bench: "video_streaming".to_string(), smoke, workers, results };
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_streaming.json");
-    std::fs::write(path, serde_json::to_string_pretty(&doc).expect("serialize"))
-        .expect("write BENCH_streaming.json");
-    println!("wrote {path}");
+    args.finish_ungated("video_streaming", &BenchDoc { workers, results });
 }

@@ -14,7 +14,7 @@
 //!
 //! Run them in release (`cargo run --release -p pcnn-bench --bin …`);
 //! passing `quick` as the first argument shrinks workloads for smoke
-//! testing. The gated benches under `benches/` share [`harness`].
+//! testing. Every bench under `benches/` runs on [`harness`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -83,6 +83,16 @@ pub fn standard_dataset() -> SynthDataset {
 pub fn test_scenes(n: u64) -> Vec<SynthScene> {
     let ds = standard_dataset();
     (0..n).map(|i| ds.test_scene(i)).collect()
+}
+
+/// The SVM-classified NApprox(fp) detector the serving benches load,
+/// trained on a small set so a bench's time goes to serving.
+pub fn small_svm_detector() -> TrainedDetector {
+    PartitionedSystem::train_svm_detector(
+        Extractor::napprox_fp(BlockNorm::L2),
+        &standard_dataset(),
+        TrainSetConfig { n_pos: 60, n_neg: 120, mining_scenes: 1, mining_rounds: 1 },
+    )
 }
 
 /// Trains the parrot network used by the Parrot-paradigm experiments.

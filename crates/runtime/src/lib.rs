@@ -43,7 +43,7 @@
 //! ## Supervision
 //!
 //! Worker panics are caught per work item
-//! ([`scheduler::try_parallel_map`]): a poisoned input fails only the
+//! ([`pcnn_sched::try_parallel_map`]): a poisoned input fails only the
 //! frames it belongs to — [`DetectionServer::detect_batch`] returns a
 //! per-frame `Result` — while [`DetectionServer::submit`] layers
 //! deadlines and bounded retry on top. Queue locks recover from poisoning, so one crashed worker never
@@ -101,7 +101,7 @@ pub use metrics::{
     StageTimes, TraceSummary, LATENCY_BOUNDS_US,
 };
 pub use queue::{Backpressure, PushError, QueueConfig, RequestQueue};
-pub use scheduler::{parallel_map, plan_chunks, try_parallel_map, Chunk, WorkerPanic};
+pub use scheduler::{plan_chunks, Chunk};
 pub use server::{DetectionServer, RuntimeConfig, RuntimeConfigBuilder};
 pub use stream::{StreamFrameResult, StreamHandle, StreamSnapshot, StreamState};
 pub use supervise::{RetryPolicy, Watchdog, WatchdogStatus};

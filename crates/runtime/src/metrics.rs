@@ -168,8 +168,6 @@ pub struct Metrics {
     retries: AtomicU64,
     deadline_misses: AtomicU64,
     stalls_detected: AtomicU64,
-    checkpoints_written: AtomicU64,
-    checkpoints_restored: AtomicU64,
     cells_reused: AtomicU64,
     cells_recomputed: AtomicU64,
     tracks_active: AtomicU64,
@@ -226,8 +224,6 @@ impl Metrics {
             retries: AtomicU64::new(0),
             deadline_misses: AtomicU64::new(0),
             stalls_detected: AtomicU64::new(0),
-            checkpoints_written: AtomicU64::new(0),
-            checkpoints_restored: AtomicU64::new(0),
             cells_reused: AtomicU64::new(0),
             cells_recomputed: AtomicU64::new(0),
             tracks_active: AtomicU64::new(0),
@@ -306,16 +302,6 @@ impl Metrics {
     /// Counts one watchdog stall detection.
     pub fn add_stall(&self) {
         self.stalls_detected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one checkpoint written to disk.
-    pub fn add_checkpoint_written(&self) {
-        self.checkpoints_written.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one checkpoint restored from disk.
-    pub fn add_checkpoint_restored(&self) {
-        self.checkpoints_restored.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts `n` pyramid cells served from a stream's temporal cache.
@@ -408,8 +394,6 @@ impl Metrics {
             retries: self.retries.load(Ordering::Relaxed),
             deadline_misses: self.deadline_misses.load(Ordering::Relaxed),
             stalls_detected: self.stalls_detected.load(Ordering::Relaxed),
-            checkpoints_written: self.checkpoints_written.load(Ordering::Relaxed),
-            checkpoints_restored: self.checkpoints_restored.load(Ordering::Relaxed),
             cells_reused: self.cells_reused.load(Ordering::Relaxed),
             cells_recomputed: self.cells_recomputed.load(Ordering::Relaxed),
             tracks_active: self.tracks_active.load(Ordering::Relaxed),
@@ -536,12 +520,6 @@ pub struct RuntimeReport {
     /// Stalls flagged by the watchdog.
     #[serde(default)]
     pub stalls_detected: u64,
-    /// Checkpoints written to disk by supervised training/serving.
-    #[serde(default)]
-    pub checkpoints_written: u64,
-    /// Checkpoints restored from disk.
-    #[serde(default)]
-    pub checkpoints_restored: u64,
     /// Pyramid cells served from stream temporal caches.
     #[serde(default)]
     pub cells_reused: u64,
@@ -621,8 +599,6 @@ impl RuntimeReport {
             retries: self.retries + other.retries,
             deadline_misses: self.deadline_misses + other.deadline_misses,
             stalls_detected: self.stalls_detected + other.stalls_detected,
-            checkpoints_written: self.checkpoints_written + other.checkpoints_written,
-            checkpoints_restored: self.checkpoints_restored + other.checkpoints_restored,
             cells_reused: self.cells_reused + other.cells_reused,
             cells_recomputed: self.cells_recomputed + other.cells_recomputed,
             tracks_active: self.tracks_active + other.tracks_active,
@@ -691,14 +667,6 @@ impl std::fmt::Display for RuntimeReport {
                 self.cells_recomputed,
                 stats.hit_rate() * 100.0,
                 self.tracks_active
-            )?;
-        }
-        if self.checkpoints_written + self.checkpoints_restored > 0 {
-            writeln!(f)?;
-            write!(
-                f,
-                "  checkpoints: {} written, {} restored",
-                self.checkpoints_written, self.checkpoints_restored
             )?;
         }
         if !self.levels.is_empty() {
@@ -880,19 +848,13 @@ mod tests {
         m.add_retry();
         m.add_deadline_miss();
         m.add_stall();
-        m.add_checkpoint_written();
-        m.add_checkpoint_written();
-        m.add_checkpoint_restored();
         let report = m.report(1, None);
         assert_eq!(report.panics_caught, 2);
         assert_eq!(report.retries, 1);
         assert_eq!(report.deadline_misses, 1);
         assert_eq!(report.stalls_detected, 1);
-        assert_eq!(report.checkpoints_written, 2);
-        assert_eq!(report.checkpoints_restored, 1);
         let text = report.to_string();
         assert!(text.contains("supervision"), "{text}");
-        assert!(text.contains("checkpoints: 2 written, 1 restored"), "{text}");
         let json = serde_json::to_string(&report).unwrap();
         let back: RuntimeReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);
@@ -906,16 +868,9 @@ mod tests {
         m.add_frames(1);
         let report = m.report(1, None);
         let json = serde_json::to_string(&report).unwrap();
-        let stripped: String = [
-            "panics_caught",
-            "retries",
-            "deadline_misses",
-            "stalls_detected",
-            "checkpoints_written",
-            "checkpoints_restored",
-        ]
-        .iter()
-        .fold(json, |j, field| j.replace(&format!("\"{field}\":0,"), ""));
+        let stripped: String = ["panics_caught", "retries", "deadline_misses", "stalls_detected"]
+            .iter()
+            .fold(json, |j, field| j.replace(&format!("\"{field}\":0,"), ""));
         assert!(!stripped.contains("panics_caught"));
         let back: RuntimeReport = serde_json::from_str(&stripped).unwrap();
         assert_eq!(back, report);

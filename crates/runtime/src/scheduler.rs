@@ -1,13 +1,10 @@
-//! Deterministic work scheduling over a fixed pool of scoped threads.
+//! Deterministic work decomposition of a detection batch.
 //!
-//! The index-ordered map primitives live in the `pcnn-sched` crate so
-//! the TrueNorth simulator's deterministic parallel tick can share them
-//! without depending on the serving runtime; they are re-exported here
-//! under their historical paths. This module keeps the detection-batch
-//! specific work decomposition: [`plan_chunks`] splits the window-row
-//! grids of a frame batch into [`Chunk`]s in serial scan order.
-
-pub use pcnn_sched::{parallel_map, try_parallel_map, WorkerPanic};
+//! The index-ordered map primitives that execute the work live in the
+//! `pcnn-sched` crate, shared with the TrueNorth simulator's parallel
+//! tick. This module keeps the detection-batch specific part:
+//! [`plan_chunks`] splits the window-row grids of a frame batch into
+//! [`Chunk`]s in serial scan order.
 
 /// One classification work item: a contiguous chunk of window rows
 /// within one pyramid level of one frame.
@@ -45,15 +42,6 @@ pub fn plan_chunks(grids: &[(usize, usize)], chunk_rows: usize) -> Vec<Chunk> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn reexported_map_matches_serial() {
-        let f = |i: usize| (i * 31 + 7) % 101;
-        let serial: Vec<_> = (0..57).map(f).collect();
-        for workers in [1, 2, 4] {
-            assert_eq!(parallel_map(workers, 57, f), serial, "workers={workers}");
-        }
-    }
 
     #[test]
     fn chunks_cover_rows_in_order_without_overlap() {

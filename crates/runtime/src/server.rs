@@ -18,7 +18,7 @@ use crate::chaos::PanicInjector;
 use crate::degrade::FallbackChain;
 use crate::metrics::{LevelReport, Metrics, RuntimeReport, Stage};
 use crate::queue::{Backpressure, PushError, QueueConfig, RequestQueue};
-use crate::scheduler::{plan_chunks, try_parallel_map, WorkerPanic};
+use crate::scheduler::plan_chunks;
 use crate::stream::{StreamFrameResult, StreamHandle, StreamState};
 use crate::supervise::RetryPolicy;
 use pcnn_core::pipeline::{Detector, TrainedDetector, WINDOW_BATCH};
@@ -26,6 +26,7 @@ use pcnn_core::{Error, StreamId};
 use pcnn_hog::block::assemble_descriptor_into;
 use pcnn_hog::cell::{cell_patch, CELL_SIZE};
 use pcnn_kernels::Scratch;
+use pcnn_sched::{try_parallel_map, WorkerPanic};
 use pcnn_truenorth::SystemStats;
 use pcnn_vision::pyramid::scale_pyramid;
 use pcnn_vision::{
@@ -206,8 +207,7 @@ impl<'d> DetectionServer<'d> {
     }
 
     /// The live serving metrics — feed them to a
-    /// [`Watchdog`](crate::Watchdog) for stall detection, or count
-    /// checkpoint writes/restores against the same report.
+    /// [`Watchdog`](crate::Watchdog) for stall detection.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
     }
