@@ -87,14 +87,14 @@ fn scenario(
     let report = cluster.report();
     println!(
         "bench: chaos/{name} {slo}  [{} failovers, {} respawns, {} retries]",
-        report.failovers, report.respawns, report.retries
+        report.failovers, report.respawns, report.aggregate.retries
     );
     ScenarioResult {
         scenario: name.to_string(),
         slo,
         failovers: report.failovers,
         respawns: report.respawns,
-        retries: report.retries,
+        retries: report.aggregate.retries,
     }
 }
 

@@ -9,8 +9,8 @@ use pcnn_core::pipeline::{DetectorConfig, TrainedDetector};
 use pcnn_core::{DetectorSnapshot, Error, Result, StreamId};
 use pcnn_runtime::StreamFrameResult;
 use pcnn_runtime::{
-    Backpressure, Metrics, PushError, QueueConfig, RequestQueue, RetryPolicy, RuntimeConfig,
-    Watchdog, WatchdogStatus,
+    Backpressure, Heartbeat, Metrics, PushError, QueueConfig, RequestQueue, RetryPolicy,
+    RuntimeConfig, Watchdog, WatchdogStatus,
 };
 use pcnn_store::CheckpointDir;
 use pcnn_vision::{Detection, GrayImage};
@@ -327,7 +327,7 @@ impl StreamOutcome {
 #[derive(Debug)]
 struct Lane {
     queue: RequestQueue<usize>,
-    heartbeat: Metrics,
+    heartbeat: Heartbeat,
     /// Set by the supervisor when the watchdog declares the lane
     /// stalled; the drainer checks it before serving each frame (and
     /// between chaos-stall sleep slices) and exits without serving.
@@ -346,7 +346,7 @@ impl Lane {
     fn new(config: QueueConfig) -> Self {
         Lane {
             queue: RequestQueue::new(config),
-            heartbeat: Metrics::new(),
+            heartbeat: Heartbeat::new(),
             condemned: AtomicBool::new(false),
             dead: AtomicBool::new(false),
             current: Mutex::new(VecDeque::new()),
@@ -361,18 +361,6 @@ impl Lane {
     }
 }
 
-/// Counters accumulated by one supervised serve call, folded into the
-/// cluster totals when it returns.
-#[derive(Debug, Default)]
-struct ServeCounters {
-    shed: AtomicU64,
-    retries: AtomicU64,
-    failovers: AtomicU64,
-    respawns: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    stalls: AtomicU64,
-}
-
 /// Everything a drainer borrows from the serve call, bundled so thread
 /// spawns stay readable.
 #[derive(Clone, Copy)]
@@ -383,7 +371,6 @@ struct DrainShared<'a> {
     chaos: Option<&'a ActiveChaos>,
     policy: RetryPolicy,
     seed: u64,
-    counters: &'a ServeCounters,
 }
 
 /// Installs (once) a panic hook that swallows the default backtrace
@@ -426,7 +413,7 @@ fn drain_lane(shard: &Shard, lane: &Lane, shared: DrainShared<'_>) {
                 return;
             }
             let Some(&i) = lane.lock_current().front() else { break };
-            lane.heartbeat.begin_work();
+            lane.heartbeat.begin();
             let mut forced_fail = false;
             match shared.chaos.and_then(|chaos| chaos.on_frame(shard.id())) {
                 Some(ChaosAction::Kill) => {
@@ -440,7 +427,7 @@ fn drain_lane(shard: &Shard, lane: &Lane, shared: DrainShared<'_>) {
                     while stalled_at.elapsed() < how_long {
                         std::thread::sleep(SUPERVISE_SLICE);
                         if lane.condemned.load(Ordering::Acquire) {
-                            lane.heartbeat.end_work();
+                            lane.heartbeat.end();
                             lane.dead.store(true, Ordering::Release);
                             return;
                         }
@@ -478,10 +465,10 @@ fn drain_lane(shard: &Shard, lane: &Lane, shared: DrainShared<'_>) {
                             .deadline
                             .is_some_and(|d| frame_start.elapsed() + backoff >= d)
                         {
-                            shared.counters.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+                            shard.metrics().add_deadline_miss();
                             break StreamOutcome::DeadlineExceeded;
                         }
-                        shared.counters.retries.fetch_add(1, Ordering::Relaxed);
+                        shard.metrics().add_retry();
                         let span = pcnn_trace::span(pcnn_trace::stages::CLUSTER_RETRY);
                         std::thread::sleep(backoff);
                         drop(span);
@@ -490,7 +477,7 @@ fn drain_lane(shard: &Shard, lane: &Lane, shared: DrainShared<'_>) {
             };
             let _ = shared.results[i].set(outcome);
             lane.lock_current().pop_front();
-            lane.heartbeat.end_work();
+            lane.heartbeat.end();
         }
     }
 }
@@ -515,15 +502,14 @@ pub struct Cluster {
     /// The warm-start checkpoint directory, when the tier came from
     /// one: respawns reload the newest valid snapshot from here.
     respawn_dir: Option<PathBuf>,
+    // Cluster-only counters. Everything that happens on one shard
+    // (retries, sheds, deadline misses, stalls) is counted in that
+    // shard's metrics instead.
     frames_routed: AtomicU64,
-    frames_shed: AtomicU64,
     swaps: AtomicU64,
     failovers: AtomicU64,
     respawns: AtomicU64,
-    retries: AtomicU64,
     hedges: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    stalls: AtomicU64,
 }
 
 impl Cluster {
@@ -561,14 +547,10 @@ impl Cluster {
             seed_snapshot: snapshot.clone(),
             respawn_dir: None,
             frames_routed: AtomicU64::new(0),
-            frames_shed: AtomicU64::new(0),
             swaps: AtomicU64::new(0),
             failovers: AtomicU64::new(0),
             respawns: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
             hedges: AtomicU64::new(0),
-            deadline_exceeded: AtomicU64::new(0),
-            stalls: AtomicU64::new(0),
         })
     }
 
@@ -642,12 +624,6 @@ impl Cluster {
     /// The shards, by index.
     pub fn shards(&self) -> &[Shard] {
         &self.shards
-    }
-
-    /// A cheap, copyable control-plane handle for swaps, drains and
-    /// reports from another thread while `serve` runs.
-    pub fn handle(&self) -> ClusterHandle<'_> {
-        ClusterHandle { cluster: self }
     }
 
     /// The shard currently serving `stream`.
@@ -805,7 +781,6 @@ impl Cluster {
             quiet_chaos_panics();
         }
         let chaos = plan.map(|p| ActiveChaos::new(p, self.config.shards));
-        let counters = ServeCounters::default();
         let results: Vec<OnceLock<StreamOutcome>> =
             (0..frames.len()).map(|_| OnceLock::new()).collect();
         let redispatched: Vec<AtomicBool> =
@@ -817,7 +792,6 @@ impl Cluster {
                 results: &results,
                 redispatched: &redispatched,
                 chaos: chaos.as_ref(),
-                counters: &counters,
                 lanes: (0..self.shards.len())
                     .map(|_| Arc::new(Lane::new(self.config.runtime.queue)))
                     .collect(),
@@ -839,13 +813,6 @@ impl Cluster {
             }
             run.finish(scope);
         });
-        self.frames_shed.fetch_add(counters.shed.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.retries.fetch_add(counters.retries.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.failovers.fetch_add(counters.failovers.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.respawns.fetch_add(counters.respawns.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.deadline_exceeded
-            .fetch_add(counters.deadline_exceeded.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.stalls.fetch_add(counters.stalls.load(Ordering::Relaxed), Ordering::Relaxed);
         drop(span);
         results
             .into_iter()
@@ -939,24 +906,25 @@ impl Cluster {
                         std::thread::sleep(due - now);
                     }
                 }
-                let shard = self.route(frame.stream);
+                let mut target = self.route(frame.stream);
                 self.frames_routed.fetch_add(1, Ordering::Relaxed);
                 let pushed = match deadline {
-                    None => queues[shard as usize].push(i),
+                    None => queues[target as usize].push(i),
                     Some(budget) => {
                         // Half the budget on the primary; a blocked
                         // frame hedges to the failover shard for the
                         // rest rather than riding out the whole wait.
                         let half = budget / 2;
-                        match queues[shard as usize].push_timeout(i, half) {
+                        match queues[target as usize].push_timeout(i, half) {
                             Err(PushError::Timeout) => {
                                 stats.hedges += 1;
                                 let hedge_span =
                                     pcnn_trace::span(pcnn_trace::stages::CLUSTER_RETRY);
-                                let target = self
-                                    .lock_router()
-                                    .failover(frame.stream.raw())
-                                    .unwrap_or(shard);
+                                if let Some(failover) =
+                                    self.lock_router().failover(frame.stream.raw())
+                                {
+                                    target = failover;
+                                }
                                 let result = queues[target as usize]
                                     .push_timeout(i, budget.saturating_sub(half));
                                 drop(hedge_span);
@@ -966,19 +934,24 @@ impl Cluster {
                         }
                     }
                 };
+                let metrics = self.shards[target as usize].metrics();
                 match pushed {
                     Ok(_) => {}
-                    Err(PushError::Full) => stats.shed += 1,
-                    Err(PushError::Timeout) => stats.deadline_exceeded += 1,
+                    Err(PushError::Full) => {
+                        stats.shed += 1;
+                        metrics.add_rejected(1);
+                    }
+                    Err(PushError::Timeout) => {
+                        stats.deadline_exceeded += 1;
+                        metrics.add_deadline_miss();
+                    }
                     Err(PushError::Closed) => unreachable!("cluster closes queues after feeding"),
                 }
             }
             for queue in &queues {
                 queue.close();
             }
-            self.frames_shed.fetch_add(stats.shed, Ordering::Relaxed);
             self.hedges.fetch_add(stats.hedges, Ordering::Relaxed);
-            self.deadline_exceeded.fetch_add(stats.deadline_exceeded, Ordering::Relaxed);
             for drainer in drainers {
                 match drainer.join() {
                     Ok(served) => {
@@ -996,8 +969,8 @@ impl Cluster {
 
     /// Snapshots the whole tier: every shard's accumulated
     /// [`RuntimeReport`](pcnn_runtime::RuntimeReport), their merged
-    /// aggregate, routing/shedding/swap counters and the live trace
-    /// summary when a tracer is installed.
+    /// aggregate, the cluster-only routing/swap/healing counters and
+    /// the one live trace summary when a tracer is installed.
     pub fn report(&self) -> ClusterReport {
         let router = self.lock_router();
         let shards: Vec<ShardReport> = self
@@ -1013,22 +986,15 @@ impl Cluster {
             .collect();
         drop(router);
         let zero = Metrics::new().report(0, None);
-        let mut aggregate = shards.iter().fold(zero, |acc, s| acc.merge(&s.report));
-        // Per-shard trace summaries all snapshot the same process-global
-        // tracer; surface one fresh snapshot at the top level instead.
-        aggregate.trace = None;
+        let aggregate = shards.iter().fold(zero, |acc, s| acc.merge(&s.report));
         ClusterReport {
             shards,
             aggregate,
             frames_routed: self.frames_routed.load(Ordering::Relaxed),
-            frames_shed: self.frames_shed.load(Ordering::Relaxed),
             swaps: self.swaps.load(Ordering::Relaxed),
             failovers: self.failovers.load(Ordering::Relaxed),
             respawns: self.respawns.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
             hedges: self.hedges.load(Ordering::Relaxed),
-            deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
-            stalls: self.stalls.load(Ordering::Relaxed),
             trace: pcnn_trace::profile_snapshot().map(pcnn_runtime::TraceSummary::from),
         }
     }
@@ -1070,7 +1036,6 @@ struct ServeLoop<'a> {
     results: &'a [OnceLock<StreamOutcome>],
     redispatched: &'a [AtomicBool],
     chaos: Option<&'a ActiveChaos>,
-    counters: &'a ServeCounters,
     /// One lane per shard, replaced wholesale on respawn.
     lanes: Vec<Arc<Lane>>,
     /// Shards that died and were not respawned; they stay drained.
@@ -1110,7 +1075,6 @@ impl<'a> ServeLoop<'a> {
             chaos: self.chaos,
             policy: self.cluster.config.supervision.retry,
             seed: self.seed,
-            counters: self.counters,
         };
         scope.spawn(move || {
             let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1138,7 +1102,7 @@ impl<'a> ServeLoop<'a> {
             } else if !lane.condemned.load(Ordering::Acquire)
                 && matches!(self.watchdog.check(&lane.heartbeat), WatchdogStatus::Stalled { .. })
             {
-                self.counters.stalls.fetch_add(1, Ordering::Relaxed);
+                self.cluster.shards[k].metrics().add_stall();
                 lane.condemned.store(true, Ordering::Release);
                 self.heal(scope, k);
             }
@@ -1191,7 +1155,7 @@ impl<'a> ServeLoop<'a> {
                 let target = router.route(stream);
                 self.cluster.shards[target as usize].install_stream_snapshot(snapshot);
                 self.last_route.insert(stream, target);
-                self.counters.failovers.fetch_add(1, Ordering::Relaxed);
+                self.cluster.failovers.fetch_add(1, Ordering::Relaxed);
             }
         }
         let mut respawned = false;
@@ -1199,7 +1163,7 @@ impl<'a> ServeLoop<'a> {
             if let Ok(detector) = self.cluster.respawn_detector(self.chaos) {
                 let respawn_span = pcnn_trace::span(pcnn_trace::stages::CLUSTER_RESPAWN);
                 shard.respawn(detector);
-                self.counters.respawns.fetch_add(1, Ordering::Relaxed);
+                self.cluster.respawns.fetch_add(1, Ordering::Relaxed);
                 let fresh = Arc::new(Lane::new(self.cluster.config.runtime.queue));
                 self.lanes[k] = Arc::clone(&fresh);
                 self.spawn_drainer(scope, k, fresh);
@@ -1295,12 +1259,12 @@ impl<'a> ServeLoop<'a> {
                     return;
                 }
                 PushOutcome::Shed => {
-                    self.counters.shed.fetch_add(1, Ordering::Relaxed);
+                    self.cluster.shards[target as usize].metrics().add_rejected(1);
                     let _ = self.results[i].set(StreamOutcome::Shed);
                     return;
                 }
                 PushOutcome::Deadline => {
-                    self.counters.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+                    self.cluster.shards[target as usize].metrics().add_deadline_miss();
                     let _ = self.results[i].set(StreamOutcome::DeadlineExceeded);
                     return;
                 }
@@ -1387,47 +1351,5 @@ impl<'a> ServeLoop<'a> {
         for lane in &self.lanes {
             lane.queue.close();
         }
-    }
-}
-
-/// A copyable control-plane view of a [`Cluster`]: swap models, drain
-/// and restore shards, and snapshot reports — typically from a
-/// supervisor thread while the data plane serves.
-#[derive(Debug, Clone, Copy)]
-pub struct ClusterHandle<'c> {
-    cluster: &'c Cluster,
-}
-
-impl ClusterHandle<'_> {
-    /// See [`Cluster::swap_model`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Cluster::swap_model`].
-    pub fn swap_model(&self, snapshot: &DetectorSnapshot) -> Result<u64> {
-        self.cluster.swap_model(snapshot)
-    }
-
-    /// See [`Cluster::drain_shard`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Cluster::drain_shard`].
-    pub fn drain_shard(&self, shard: u32) -> Result<()> {
-        self.cluster.drain_shard(shard)
-    }
-
-    /// See [`Cluster::restore_shard`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Cluster::restore_shard`].
-    pub fn restore_shard(&self, shard: u32) -> Result<()> {
-        self.cluster.restore_shard(shard)
-    }
-
-    /// See [`Cluster::report`].
-    pub fn report(&self) -> ClusterReport {
-        self.cluster.report()
     }
 }

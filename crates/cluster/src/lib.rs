@@ -14,7 +14,7 @@
 //!   started from a [`pcnn_store`] snapshot), serving batches on its
 //!   own worker pool with install-time canary health probes feeding a
 //!   per-shard fallback floor;
-//! * [`cluster`] — [`Cluster`] / [`ClusterHandle`]: the data plane
+//! * [`cluster`] — [`Cluster`]: the data plane
 //!   (feeder + per-shard queues and drainers, load shedding at the
 //!   edge, plus [`serve_streams`] for temporal video streams with
 //!   per-shard cell caches and trackers) and the control plane
@@ -22,7 +22,8 @@
 //!   once per [`SwapPolicy`] — with zero dropped frames and stream
 //!   caches invalidated at install);
 //! * [`report`] — [`ClusterReport`]: every shard's
-//!   [`RuntimeReport`](pcnn_runtime::RuntimeReport) plus their merge;
+//!   [`RuntimeReport`](pcnn_runtime::RuntimeReport) — the one place a
+//!   serving event on that shard is counted — plus their merge;
 //! * [`loadgen`] — seeded open-loop Poisson load and the SLO harness
 //!   judging p50/p99 schedule-to-completion latency against budgets.
 //!
@@ -58,8 +59,8 @@ pub mod shard;
 
 pub use chaos::{corrupt_newest_checkpoint, ChaosEvent, ChaosPlan};
 pub use cluster::{
-    Cluster, ClusterConfig, ClusterConfigBuilder, ClusterHandle, StreamFrame, StreamOutcome,
-    SupervisionConfig, SwapPolicy,
+    Cluster, ClusterConfig, ClusterConfigBuilder, StreamFrame, StreamOutcome, SupervisionConfig,
+    SwapPolicy,
 };
 pub use loadgen::{arrivals, run_slo, run_stream_slo, Arrival, LoadProfile, SloBudget, SloReport};
 pub use report::{ClusterReport, ShardReport};

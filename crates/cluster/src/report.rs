@@ -1,5 +1,11 @@
 //! Cluster-level observability: per-shard reports plus their merged
 //! aggregate, serializable for dashboards and the SLO harness.
+//!
+//! Every serving event is counted once, in the report of the shard it
+//! happened on — edge retries, sheds, deadline misses and watchdog
+//! stalls included — and read tier-wide from the aggregate. Only
+//! events that belong to no single shard (routing, swaps, failovers,
+//! respawns, hedges) are counted on the [`ClusterReport`] itself.
 
 use pcnn_runtime::{RuntimeReport, TraceSummary};
 use serde::{Deserialize, Serialize};
@@ -15,7 +21,11 @@ pub struct ShardReport {
     pub swaps: u64,
     /// Whether the shard is currently out of the routing rotation.
     pub drained: bool,
-    /// The shard's accumulated serving report.
+    /// The shard's accumulated serving report: its servers' counters
+    /// plus the retries (`retries`), sheds (`frames_rejected`), deadline
+    /// misses (`deadline_misses`) and watchdog condemnations
+    /// (`stalls_detected`) the cluster attributed to it. Carries no
+    /// trace summary; see [`ClusterReport::trace`].
     pub report: RuntimeReport,
 }
 
@@ -31,8 +41,6 @@ pub struct ClusterReport {
     pub aggregate: RuntimeReport,
     /// Frames accepted and routed to a shard queue.
     pub frames_routed: u64,
-    /// Frames shed at the cluster edge by a full shard queue.
-    pub frames_shed: u64,
     /// Completed cluster-wide blue/green swaps.
     pub swaps: u64,
     /// Streams migrated off a dead shard to a survivor (tracker state
@@ -43,48 +51,15 @@ pub struct ClusterReport {
     /// checkpoint (or the seed snapshot).
     #[serde(default)]
     pub respawns: u64,
-    /// Failed frame attempts retried at the serving edge.
-    #[serde(default)]
-    pub retries: u64,
     /// Frames hedged to their failover shard when the primary blocked
     /// past half the deadline.
     #[serde(default)]
     pub hedges: u64,
-    /// Frames whose deadline expired before any attempt could succeed.
-    #[serde(default)]
-    pub deadline_exceeded: u64,
-    /// Shard serve loops condemned by the watchdog for heartbeat
-    /// silence with work in flight.
-    #[serde(default)]
-    pub stalls: u64,
     /// Live per-stage tracing statistics, when a `pcnn_trace` tracer is
     /// installed (spans from every shard land in the same process-global
     /// tracer, so this is the tier-wide view).
     #[serde(default)]
     pub trace: Option<TraceSummary>,
-}
-
-impl ClusterReport {
-    /// Frames served across every shard.
-    pub fn frames_served(&self) -> u64 {
-        self.aggregate.frames_served
-    }
-
-    /// Batches served below their shard's primary level (the live model
-    /// failed its canary probe and the fallback floor served).
-    pub fn degraded_batches(&self) -> u64 {
-        self.aggregate.degraded_batches
-    }
-
-    /// Stream-cache cells reused across every shard (video serving).
-    pub fn cells_reused(&self) -> u64 {
-        self.aggregate.cells_reused
-    }
-
-    /// Stream-cache cells recomputed across every shard (video serving).
-    pub fn cells_recomputed(&self) -> u64 {
-        self.aggregate.cells_recomputed
-    }
 }
 
 impl std::fmt::Display for ClusterReport {
@@ -98,7 +73,10 @@ impl std::fmt::Display for ClusterReport {
         writeln!(
             f,
             "  frames routed {:>8}   shed {:>6}   served {:>8}   swaps {:>3}",
-            self.frames_routed, self.frames_shed, self.aggregate.frames_served, self.swaps
+            self.frames_routed,
+            self.aggregate.frames_rejected,
+            self.aggregate.frames_served,
+            self.swaps
         )?;
         for shard in &self.shards {
             writeln!(
@@ -131,18 +109,19 @@ impl std::fmt::Display for ClusterReport {
                 100.0 * self.aggregate.cells_reused as f64 / total as f64
             )?;
         }
-        if self.failovers + self.respawns + self.retries + self.stalls > 0 {
+        let (retries, stalls) = (self.aggregate.retries, self.aggregate.stalls_detected);
+        if self.failovers + self.respawns + retries + stalls > 0 {
             writeln!(
                 f,
-                "  self-healing: {} failovers  {} respawns  {} retries  {} stalls",
-                self.failovers, self.respawns, self.retries, self.stalls
+                "  self-healing: {} failovers  {} respawns  {retries} retries  {stalls} stalls",
+                self.failovers, self.respawns
             )?;
         }
-        if self.hedges + self.deadline_exceeded > 0 {
+        if self.hedges + self.aggregate.deadline_misses > 0 {
             writeln!(
                 f,
                 "  deadlines: {} hedged  {} exceeded",
-                self.hedges, self.deadline_exceeded
+                self.hedges, self.aggregate.deadline_misses
             )?;
         }
         if self.aggregate.degraded_batches > 0 {

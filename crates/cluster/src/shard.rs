@@ -4,7 +4,10 @@
 //! A [`Shard`] owns its [`TrainedDetector`] (rebuilt from a
 //! [`DetectorSnapshot`](pcnn_core::DetectorSnapshot) at warm start) and
 //! serves batches through a per-batch [`DetectionServer`] so the model
-//! reference never outlives the batch. The blue/green swap protocol:
+//! reference never outlives the batch. Every such server records into
+//! the shard's one live [`Metrics`], which is also where the cluster
+//! counts the retries, sheds, deadline misses and stalls that happen on
+//! this shard. The blue/green swap protocol:
 //!
 //! 1. every batch registers itself against the model *generation* it
 //!    serves with before touching a frame;
@@ -24,8 +27,8 @@
 use pcnn_core::pipeline::{Detector, DetectorConfig, TrainedDetector};
 use pcnn_core::{Error, StreamId};
 use pcnn_runtime::{
-    canary_reference, DetectionServer, FallbackChain, Metrics, RuntimeConfig, RuntimeReport,
-    ServiceLevel, StreamFrameResult, StreamSnapshot, StreamState,
+    canary_reference, DetectionServer, FallbackChain, LevelReport, Metrics, RuntimeConfig,
+    RuntimeReport, ServiceLevel, StreamFrameResult, StreamSnapshot, StreamState,
 };
 use pcnn_vision::{Detection, GrayImage};
 use std::collections::BTreeMap;
@@ -59,11 +62,15 @@ impl ShardModel {
         self.generation
     }
 
+    /// The label of the service level this model serves as.
+    fn label(&self) -> &'static str {
+        self.detector.extractor.kind().label()
+    }
+
     /// The service level this model serves as, probing against the
     /// install-time canary reference.
     fn level(&self) -> ServiceLevel<'_> {
-        let label = self.detector.extractor.kind().label();
-        ServiceLevel::with_reference(label, &self.detector, self.canaries.clone())
+        ServiceLevel::with_reference(self.label(), &self.detector, self.canaries.clone())
     }
 }
 
@@ -149,7 +156,7 @@ impl StreamStore {
 }
 
 /// One serving replica: an owned model, a worker pool configuration and
-/// accumulated metrics.
+/// the live metrics every event on this shard is counted in.
 #[derive(Debug)]
 pub struct Shard {
     id: u32,
@@ -159,7 +166,8 @@ pub struct Shard {
     fallback: Option<Arc<ShardModel>>,
     config: RuntimeConfig,
     engine: DetectorConfig,
-    report: Mutex<RuntimeReport>,
+    /// Sized to the chain: one level, two once a fallback is set.
+    metrics: Arc<Metrics>,
     swaps: AtomicU64,
     streams: Mutex<StreamStore>,
 }
@@ -185,7 +193,7 @@ impl Shard {
             fallback: None,
             config,
             engine,
-            report: Mutex::new(Metrics::new().report(config.workers, None)),
+            metrics: Arc::new(Metrics::with_levels(1)),
             swaps: AtomicU64::new(0),
             streams: Mutex::new(StreamStore::new(stream_cache_capacity.max(1))),
         }
@@ -193,9 +201,11 @@ impl Shard {
 
     /// Registers a shared fallback floor, probed when the live model
     /// fails its canary check. Serving-tier construction only — the
-    /// floor is fixed for the shard's lifetime.
+    /// floor is fixed for the shard's lifetime, and the shard's metrics
+    /// start afresh sized to the two-level chain.
     pub(crate) fn set_fallback(&mut self, fallback: Arc<ShardModel>) {
         self.fallback = Some(fallback);
+        self.metrics = Arc::new(Metrics::with_levels(2));
     }
 
     /// The shard's index in the cluster.
@@ -208,11 +218,6 @@ impl Shard {
     /// any panic mid-critical-section.
     fn lock_state(&self) -> MutexGuard<'_, ShardState> {
         self.state.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    /// Locks the report accumulator, recovering from poisoning.
-    fn lock_report(&self) -> MutexGuard<'_, RuntimeReport> {
-        self.report.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     /// Locks the per-stream store, recovering from poisoning the way
@@ -236,9 +241,28 @@ impl Shard {
         self.swaps.load(Ordering::Relaxed)
     }
 
-    /// A snapshot of the shard's accumulated serving report.
+    /// The shard's live metrics: everything its servers record, plus
+    /// the retries, sheds, deadline misses and stalls the cluster
+    /// attributes to it.
+    pub(crate) fn metrics(&self) -> &Metrics {
+        &self.metrics
+    }
+
+    /// A snapshot of the shard's accumulated serving report, per-level
+    /// batch counts labelled by the current chain. It carries no trace
+    /// summary: spans land in one process-global tracer, surfaced once
+    /// per [`ClusterReport`](crate::ClusterReport).
     pub fn report(&self) -> RuntimeReport {
-        self.lock_report().clone()
+        let model = Arc::clone(&self.lock_state().model);
+        let labels =
+            std::iter::once(&*model).chain(self.fallback.as_deref()).map(ShardModel::label);
+        RuntimeReport {
+            levels: labels
+                .zip(self.metrics.level_counts())
+                .map(|(label, batches)| LevelReport { label: label.to_owned(), batches })
+                .collect(),
+            ..self.metrics.report(self.config.workers, None)
+        }
     }
 
     /// Streams with temporal state currently cached on this shard.
@@ -330,21 +354,7 @@ impl Shard {
         if span.is_recording() {
             span.add(pcnn_trace::Counter::Frames, frames.len() as u64);
         }
-        let model = {
-            let mut state = self.lock_state();
-            let generation = state.model.generation;
-            *state.in_flight.entry(generation).or_insert(0) += 1;
-            Arc::clone(&state.model)
-        };
-        let results = self.serve_with(&model, frames);
-        let mut state = self.lock_state();
-        let count = state.in_flight.get_mut(&model.generation).expect("registered generation");
-        *count -= 1;
-        if *count == 0 {
-            state.in_flight.remove(&model.generation);
-            self.batch_done.notify_all();
-        }
-        results
+        self.serve_registered(|model| self.server(model).detect_batch(frames))
     }
 
     /// Serves one frame of a video stream with the currently installed
@@ -365,30 +375,30 @@ impl Shard {
         if span.is_recording() {
             span.add(pcnn_trace::Counter::Frames, 1);
         }
+        self.serve_registered(|model| {
+            // The stream's state leaves the store while its frame runs,
+            // so a long frame never blocks other streams on the store
+            // lock.
+            let mut stream_state = self.lock_streams().take(stream);
+            let result = self.server(model).detect_stream_state(&mut stream_state, frame);
+            self.lock_streams().put(stream, stream_state);
+            result
+        })
+    }
+
+    /// Runs `serve` against the currently installed model, registered
+    /// in flight under the model's generation so an
+    /// [`install`](Shard::install) drains it. A registration that
+    /// [`respawn`](Shard::respawn) discarded meanwhile is simply gone:
+    /// there is nothing left to deregister.
+    fn serve_registered<T>(&self, serve: impl FnOnce(&ShardModel) -> T) -> T {
         let model = {
             let mut state = self.lock_state();
             let generation = state.model.generation;
             *state.in_flight.entry(generation).or_insert(0) += 1;
             Arc::clone(&state.model)
         };
-        // The stream's state leaves the store while its frame runs, so
-        // a long frame never blocks other streams on the store lock.
-        let mut stream_state = self.lock_streams().take(stream);
-
-        let mut chain = FallbackChain::new().push_level(model.level());
-        if let Some(fallback) = &self.fallback {
-            chain = chain.push_level(fallback.level());
-        }
-        let server = DetectionServer::with_chain(Detector::new(self.engine), chain, self.config)
-            .expect("shard config validated at cluster build");
-        let result = server.detect_stream_state(&mut stream_state, frame);
-        let batch_report = server.report(None);
-        {
-            let mut report = self.lock_report();
-            *report = RuntimeReport { workers: self.config.workers, ..report.merge(&batch_report) };
-        }
-        self.lock_streams().put(stream, stream_state);
-
+        let served = serve(&model);
         let mut state = self.lock_state();
         if let Some(count) = state.in_flight.get_mut(&model.generation) {
             *count -= 1;
@@ -397,31 +407,19 @@ impl Shard {
                 self.batch_done.notify_all();
             }
         }
-        drop(state);
-        result
+        served
     }
 
-    /// One batch through a transient [`DetectionServer`] built around
-    /// `model` (and the fallback floor, when configured), with the
-    /// batch's report merged into the shard accumulator.
-    fn serve_with(
-        &self,
-        model: &ShardModel,
-        frames: &[&GrayImage],
-    ) -> Vec<Result<Vec<Detection>, Error>> {
+    /// A transient [`DetectionServer`] around `model` (and the fallback
+    /// floor, when configured) that records into the shard's metrics.
+    fn server<'m>(&'m self, model: &'m ShardModel) -> DetectionServer<'m> {
         let mut chain = FallbackChain::new().push_level(model.level());
         if let Some(fallback) = &self.fallback {
             chain = chain.push_level(fallback.level());
         }
-        let server = DetectionServer::with_chain(Detector::new(self.engine), chain, self.config)
-            .expect("shard config validated at cluster build");
-        let results = server.detect_batch(frames);
-        let batch_report = server.report(None);
-        let mut report = self.lock_report();
-        // merge() sums `workers` (an aggregate over shards reports total
-        // threads); within one shard the pool size is constant.
-        *report = RuntimeReport { workers: self.config.workers, ..report.merge(&batch_report) };
-        results
+        DetectionServer::with_chain(Detector::new(self.engine), chain, self.config)
+            .expect("shard config validated at cluster build")
+            .with_metrics(Arc::clone(&self.metrics))
     }
 }
 
@@ -503,5 +501,21 @@ mod tests {
         // install() after a respawn must not hang on the stale count.
         let generation = shard.install(small_detector());
         assert_eq!(generation, 2);
+    }
+
+    /// A batch still running when a respawn discards its registration
+    /// deregisters without panicking, and a later install does not wait
+    /// on it.
+    #[test]
+    fn deregistering_after_a_respawn_is_tolerated() {
+        let shard = small_shard();
+        let generation = shard.serve_registered(|model| {
+            assert_eq!(model.generation(), 0);
+            assert_eq!(shard.lock_state().in_flight.get(&0), Some(&1), "registered under 0");
+            shard.respawn(small_detector())
+        });
+        assert_eq!(generation, 1);
+        assert!(shard.lock_state().in_flight.is_empty());
+        assert_eq!(shard.install(small_detector()), 2);
     }
 }

@@ -155,7 +155,10 @@ fn reject_backpressure_sheds_at_the_cluster_edge_with_honest_accounting() {
 
     let report = cluster.report();
     assert_eq!(report.frames_routed, frames.len() as u64);
-    assert_eq!(report.frames_shed, shed, "report.frames_shed disagrees with the None slots");
+    assert_eq!(
+        report.aggregate.frames_rejected, shed,
+        "report.aggregate.frames_rejected disagrees with the None slots"
+    );
     assert_eq!(report.aggregate.frames_served, served);
 }
 
@@ -184,7 +187,7 @@ fn report_aggregates_every_shard() {
     assert_eq!(per_shard, frames.len() as u64, "shard reports must cover every frame once");
     assert_eq!(report.aggregate.frames_served, per_shard, "aggregate != sum of shards");
     assert_eq!(report.frames_routed, frames.len() as u64);
-    assert_eq!(report.frames_shed, 0);
+    assert_eq!(report.aggregate.frames_rejected, 0);
     // Streams spread: with 5 streams over 3 shards at this seed, more
     // than one shard did work.
     let busy = report.shards.iter().filter(|s| s.report.frames_served > 0).count();

@@ -143,11 +143,23 @@ fn killed_shard_fails_over_and_respawns_bit_identically() {
             assert!(redispatched_any, "seed {seed}: the kill must orphan at least one frame");
 
             let report = cluster.report();
+            let aggregate = &report.aggregate;
             assert_eq!(report.respawns, 1, "seed {seed}: one kill, one respawn");
             assert!(report.failovers >= 1, "seed {seed}: victim held at least one stream");
-            assert_eq!(report.retries, expected_retries, "seed {seed}: injected-failure retries");
-            assert_eq!(report.frames_shed, 0, "Block backpressure never sheds");
-            counter_runs.push((report.failovers, report.respawns, report.retries, report.stalls));
+            assert_eq!(
+                aggregate.retries, expected_retries,
+                "seed {seed}: injected-failure retries"
+            );
+            // Each retry is counted once, on the shard that retried it.
+            let per_shard: u64 = report.shards.iter().map(|s| s.report.retries).sum();
+            assert_eq!(per_shard, aggregate.retries, "seed {seed}: retries attributed to shards");
+            assert_eq!(aggregate.frames_rejected, 0, "Block backpressure never sheds");
+            counter_runs.push((
+                report.failovers,
+                report.respawns,
+                aggregate.retries,
+                aggregate.stalls_detected,
+            ));
         }
         assert!(
             counter_runs.windows(2).all(|w| w[0] == w[1]),
@@ -184,7 +196,11 @@ fn stalled_shard_is_condemned_and_its_frames_rerouted() {
     // A slow-but-healthy serve can also trip the watchdog (that heal is
     // harmless, the output above is still bit-identical), so the
     // counters are lower-bounded rather than exact here.
-    assert!(report.stalls >= 1, "the watchdog must condemn the stalled lane");
+    assert!(report.aggregate.stalls_detected >= 1, "the watchdog must condemn the stalled lane");
+    assert!(
+        report.shards[victim as usize].report.stalls_detected >= 1,
+        "the condemnation is counted on the stalled shard"
+    );
     assert!(report.respawns >= 1, "a condemned shard respawns like a dead one");
     assert!(report.failovers >= 1);
 }

@@ -99,8 +99,8 @@ fn sharded_streaming_matches_a_single_server_per_stream() {
     let report = cluster.report();
     let reused: u64 = reference.iter().map(|(_, r)| r.cells_reused).sum();
     let recomputed: u64 = reference.iter().map(|(_, r)| r.cells_recomputed).sum();
-    assert_eq!(report.cells_reused(), reused);
-    assert_eq!(report.cells_recomputed(), recomputed);
+    assert_eq!(report.aggregate.cells_reused, reused);
+    assert_eq!(report.aggregate.cells_recomputed, recomputed);
     assert!(reused > 0, "a 4-frame sparse stream must reuse cells");
 }
 

@@ -70,13 +70,12 @@ fn mid_stream_swap_serves_every_frame_exactly_once() {
     assert_ne!(blue_ref, green_ref, "blue and green must be distinguishable for this test");
 
     let cluster = Cluster::new(&blue_snap, cluster_config(2, 2)).unwrap();
-    let handle = cluster.handle();
     let results = std::thread::scope(|scope| {
         let swapper = scope.spawn(|| {
             // Land the swap somewhere inside the serve; correctness below
             // does not depend on where.
             std::thread::sleep(Duration::from_millis(20));
-            handle.swap_model(&green_snap).unwrap()
+            cluster.swap_model(&green_snap).unwrap()
         });
         let results = cluster.serve(&frames);
         assert_eq!(swapper.join().unwrap(), 1, "first swap installs generation 1");
@@ -100,7 +99,7 @@ fn mid_stream_swap_serves_every_frame_exactly_once() {
         assert_eq!(shard.generation, 1, "shard {} never installed generation 1", shard.shard);
         assert_eq!(shard.swaps, 1);
     }
-    assert_eq!(report.frames_shed, 0, "Block backpressure sheds nothing");
+    assert_eq!(report.aggregate.frames_rejected, 0, "Block backpressure sheds nothing");
     assert_eq!(report.aggregate.frames_served, frames.len() as u64);
 
     // After the roll, the tier serves pure green.

@@ -34,7 +34,7 @@
 //! * [`supervise`] — request supervision: [`RetryPolicy`] deadlines
 //!   with bounded exponential-backoff retry for
 //!   [`DetectionServer::submit`], and a [`Watchdog`] that flags stalled
-//!   batches off the metrics heartbeat;
+//!   batches off a [`Heartbeat`];
 //! * [`chaos`] — fault injection ([`PanicInjector`]) for pinning the
 //!   supervision contract: a panicking classify chunk fails only its
 //!   own frame's request, is counted as `panics_caught`, and leaves no
@@ -97,8 +97,8 @@ pub use cache::{CacheStats, CellCache, LevelCache};
 pub use chaos::PanicInjector;
 pub use degrade::{canary_reference, FallbackChain, ServiceLevel, DEFAULT_PROBE_TOLERANCE};
 pub use metrics::{
-    Histogram, HistogramReport, LevelReport, Metrics, RuntimeReport, Stage, StageSummary,
-    StageTimes, TraceSummary, LATENCY_BOUNDS_US,
+    Heartbeat, Histogram, HistogramReport, LevelReport, Metrics, RuntimeReport, Stage,
+    StageSummary, StageTimes, TraceSummary, LATENCY_BOUNDS_US,
 };
 pub use queue::{Backpressure, PushError, QueueConfig, RequestQueue};
 pub use scheduler::{plan_chunks, Chunk};

@@ -171,16 +171,72 @@ pub struct Metrics {
     cells_reused: AtomicU64,
     cells_recomputed: AtomicU64,
     tracks_active: AtomicU64,
-    // Watchdog heartbeat: work in flight plus the last time any stage
-    // completed, as milliseconds since these metrics were created.
-    in_flight: AtomicU64,
-    last_beat_ms: AtomicU64,
-    created: Instant,
+    heartbeat: Heartbeat,
 }
 
 impl Default for Metrics {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// A liveness signal for a [`Watchdog`](crate::Watchdog): units of work
+/// in flight plus the last time any of them showed progress, as
+/// milliseconds since the heartbeat was created.
+#[derive(Debug)]
+pub struct Heartbeat {
+    in_flight: AtomicU64,
+    last_beat_ms: AtomicU64,
+    created: Instant,
+}
+
+impl Default for Heartbeat {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Heartbeat {
+    /// A heartbeat with nothing in flight and no beat yet.
+    pub fn new() -> Self {
+        Heartbeat {
+            in_flight: AtomicU64::new(0),
+            last_beat_ms: AtomicU64::new(0),
+            created: Instant::now(),
+        }
+    }
+
+    /// Marks the start of one unit of supervised work (a batch, a frame).
+    pub fn begin(&self) {
+        self.in_flight.fetch_add(1, Ordering::Relaxed);
+        self.beat();
+    }
+
+    /// Marks the end of one unit of supervised work.
+    pub fn end(&self) {
+        self.in_flight.fetch_sub(1, Ordering::Relaxed);
+        self.beat();
+    }
+
+    /// Records a sign of life: a stage or batch completed. The watchdog
+    /// compares this heartbeat against wall time to detect stalls.
+    pub fn beat(&self) {
+        let now = self.created.elapsed().as_millis() as u64;
+        self.last_beat_ms.fetch_max(now, Ordering::Relaxed);
+    }
+
+    /// Units of supervised work currently executing.
+    pub fn in_flight(&self) -> u64 {
+        self.in_flight.load(Ordering::Relaxed)
+    }
+
+    /// Milliseconds since the last beat (`None` before any beat).
+    pub fn silent_ms(&self) -> Option<u64> {
+        let last = self.last_beat_ms.load(Ordering::Relaxed);
+        if last == 0 && self.in_flight() == 0 {
+            return None;
+        }
+        Some((self.created.elapsed().as_millis() as u64).saturating_sub(last))
     }
 }
 
@@ -227,9 +283,7 @@ impl Metrics {
             cells_reused: AtomicU64::new(0),
             cells_recomputed: AtomicU64::new(0),
             tracks_active: AtomicU64::new(0),
-            in_flight: AtomicU64::new(0),
-            last_beat_ms: AtomicU64::new(0),
-            created: Instant::now(),
+            heartbeat: Heartbeat::new(),
         }
     }
 
@@ -321,37 +375,10 @@ impl Metrics {
         self.tracks_active.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Marks the start of one unit of supervised work (a batch).
-    pub fn begin_work(&self) {
-        self.in_flight.fetch_add(1, Ordering::Relaxed);
-        self.beat();
-    }
-
-    /// Marks the end of one unit of supervised work.
-    pub fn end_work(&self) {
-        self.in_flight.fetch_sub(1, Ordering::Relaxed);
-        self.beat();
-    }
-
-    /// Records a sign of life: a stage or batch completed. The watchdog
-    /// compares this heartbeat against wall time to detect stalls.
-    pub fn beat(&self) {
-        let now = self.created.elapsed().as_millis() as u64;
-        self.last_beat_ms.fetch_max(now, Ordering::Relaxed);
-    }
-
-    /// Units of supervised work currently executing.
-    pub fn in_flight(&self) -> u64 {
-        self.in_flight.load(Ordering::Relaxed)
-    }
-
-    /// Milliseconds since the last heartbeat (`None` before any beat).
-    pub fn silent_ms(&self) -> Option<u64> {
-        let last = self.last_beat_ms.load(Ordering::Relaxed);
-        if last == 0 && self.in_flight() == 0 {
-            return None;
-        }
-        Some((self.created.elapsed().as_millis() as u64).saturating_sub(last))
+    /// The runtime's liveness signal: every batch begins and ends on
+    /// it and every completed stage beats it.
+    pub fn heartbeat(&self) -> &Heartbeat {
+        &self.heartbeat
     }
 
     /// Adds wall time to one pipeline stage.
@@ -364,7 +391,7 @@ impl Metrics {
             Stage::Nms => &self.stage_nms_ns,
         };
         counter.fetch_add(ns, Ordering::Relaxed);
-        self.beat();
+        self.heartbeat.beat();
     }
 
     /// Snapshots every counter into a serializable report. `workers` is
@@ -1001,19 +1028,19 @@ mod tests {
 
     #[test]
     fn heartbeat_tracks_in_flight_work() {
-        let m = Metrics::new();
-        assert_eq!(m.silent_ms(), None);
-        assert_eq!(m.in_flight(), 0);
+        let h = Heartbeat::new();
+        assert_eq!(h.silent_ms(), None);
+        assert_eq!(h.in_flight(), 0);
         // Let wall time advance so the first beat records a nonzero
         // timestamp (a zero beat with nothing in flight reads as
         // "never beaten").
         std::thread::sleep(Duration::from_millis(5));
-        m.begin_work();
-        assert_eq!(m.in_flight(), 1);
-        assert!(m.silent_ms().is_some());
-        m.end_work();
-        assert_eq!(m.in_flight(), 0);
+        h.begin();
+        assert_eq!(h.in_flight(), 1);
+        assert!(h.silent_ms().is_some());
+        h.end();
+        assert_eq!(h.in_flight(), 0);
         // Once work has happened the heartbeat history persists.
-        assert!(m.silent_ms().is_some());
+        assert!(h.silent_ms().is_some());
     }
 }

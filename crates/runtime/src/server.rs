@@ -33,6 +33,7 @@ use pcnn_vision::{
     non_maximum_suppression, BoundingBox, Detection, GrayImage, WINDOW_HEIGHT, WINDOW_WIDTH,
 };
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Serving-runtime parameters.
@@ -143,7 +144,7 @@ pub struct DetectionServer<'d> {
     engine: Detector,
     chain: FallbackChain<'d>,
     config: RuntimeConfig,
-    metrics: Metrics,
+    metrics: Arc<Metrics>,
     injector: Option<PanicInjector>,
 }
 
@@ -188,7 +189,7 @@ impl<'d> DetectionServer<'d> {
         // Opt-in observability: PCNN_TRACE=1 turns on wall-clock span
         // tracing for the whole process (surfaced via RuntimeReport).
         pcnn_trace::init_from_env();
-        let metrics = Metrics::with_levels(chain.len());
+        let metrics = Arc::new(Metrics::with_levels(chain.len()));
         Ok(DetectionServer { engine, chain, config, metrics, injector: None })
     }
 
@@ -201,12 +202,23 @@ impl<'d> DetectionServer<'d> {
         self
     }
 
+    /// Records into `metrics` instead of the server's own fresh set, so
+    /// short-lived servers (a cluster shard builds one per frame) can
+    /// accumulate into one live set that outlives them. Size `metrics`
+    /// to the chain ([`Metrics::with_levels`]) so per-level batch
+    /// counts land.
+    pub fn with_metrics(mut self, metrics: Arc<Metrics>) -> Self {
+        self.metrics = metrics;
+        self
+    }
+
     /// The runtime configuration.
     pub fn config(&self) -> &RuntimeConfig {
         &self.config
     }
 
-    /// The live serving metrics — feed them to a
+    /// The live serving metrics — feed their
+    /// [`heartbeat`](Metrics::heartbeat) to a
     /// [`Watchdog`](crate::Watchdog) for stall detection.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
@@ -271,7 +283,7 @@ impl<'d> DetectionServer<'d> {
             batch_span.add(pcnn_trace::Counter::Frames, frames.len() as u64);
         }
         let batch_start = Instant::now();
-        self.metrics.begin_work();
+        self.metrics.heartbeat().begin();
 
         // The first failure per frame; a failed frame is excluded from
         // every subsequent stage.
@@ -416,7 +428,7 @@ impl<'d> DetectionServer<'d> {
             .collect();
         self.metrics.add_frames(results.iter().filter(|r| r.is_ok()).count() as u64);
         self.metrics.add_batch(batch_start.elapsed());
-        self.metrics.end_work();
+        self.metrics.heartbeat().end();
         results
     }
 
@@ -565,12 +577,12 @@ impl<'d> DetectionServer<'d> {
             batch_span.add(pcnn_trace::Counter::Frames, 1);
         }
         let start = Instant::now();
-        self.metrics.begin_work();
+        self.metrics.heartbeat().begin();
         let outcome = self.try_run_stream(detector, level_index as u64, &mut state.cache, img);
         let (detections, stats) = match outcome {
             Ok(v) => v,
             Err(e) => {
-                self.metrics.end_work();
+                self.metrics.heartbeat().end();
                 return Err(e);
             }
         };
@@ -588,7 +600,7 @@ impl<'d> DetectionServer<'d> {
         self.metrics.add_tracks_active(active);
         self.metrics.add_frames(1);
         self.metrics.add_batch(start.elapsed());
-        self.metrics.end_work();
+        self.metrics.heartbeat().end();
         Ok(StreamFrameResult {
             detections,
             tracks,

@@ -1,6 +1,6 @@
 //! Request supervision: deadlines, bounded retry and stall detection.
 
-use crate::metrics::Metrics;
+use crate::metrics::Heartbeat;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
@@ -109,9 +109,10 @@ pub enum WatchdogStatus {
     },
 }
 
-/// A stall detector over a runtime's [`Metrics`] heartbeat. Every
-/// pipeline stage beats the heartbeat as it completes; the watchdog
-/// flags the runtime as stalled when work is in flight but the
+/// A stall detector over a [`Heartbeat`] (a server's
+/// [`Metrics::heartbeat`](crate::Metrics::heartbeat), or a cluster serve
+/// loop's own). Every pipeline stage beats the heartbeat as it
+/// completes; the watchdog flags a stall when work is in flight but the
 /// heartbeat has been silent past the threshold.
 ///
 /// The watchdog takes no threads of its own — call
@@ -134,19 +135,18 @@ impl Watchdog {
         self.stall_after
     }
 
-    /// Classifies the runtime's current liveness. A `Stalled` verdict
-    /// is counted in the metrics (and thus surfaces as
-    /// `stalls_detected` in the report).
-    pub fn check(&self, metrics: &Metrics) -> WatchdogStatus {
-        let in_flight = metrics.in_flight();
-        let Some(silent_ms) = metrics.silent_ms() else {
+    /// Classifies the heartbeat's current liveness. The verdict is only
+    /// returned: whoever acts on a `Stalled` verdict counts it (with
+    /// [`Metrics::add_stall`](crate::Metrics::add_stall)).
+    pub fn check(&self, heartbeat: &Heartbeat) -> WatchdogStatus {
+        let in_flight = heartbeat.in_flight();
+        let Some(silent_ms) = heartbeat.silent_ms() else {
             return WatchdogStatus::Idle;
         };
         if in_flight == 0 {
             return WatchdogStatus::Idle;
         }
         if u128::from(silent_ms) > self.stall_after.as_millis() {
-            metrics.add_stall();
             WatchdogStatus::Stalled { silent_ms }
         } else {
             WatchdogStatus::Healthy
@@ -224,20 +224,25 @@ mod tests {
 
     #[test]
     fn watchdog_is_idle_then_healthy_then_stalled() {
-        let metrics = Metrics::new();
+        let heartbeat = Heartbeat::new();
         let dog = Watchdog::new(Duration::from_millis(30));
-        assert_eq!(dog.check(&metrics), WatchdogStatus::Idle);
+        assert_eq!(dog.check(&heartbeat), WatchdogStatus::Idle);
 
-        metrics.begin_work();
-        assert_eq!(dog.check(&metrics), WatchdogStatus::Healthy);
+        heartbeat.begin();
+        assert_eq!(dog.check(&heartbeat), WatchdogStatus::Healthy);
 
         std::thread::sleep(Duration::from_millis(60));
         assert!(
-            matches!(dog.check(&metrics), WatchdogStatus::Stalled { silent_ms } if silent_ms >= 30)
+            matches!(dog.check(&heartbeat), WatchdogStatus::Stalled { silent_ms } if silent_ms >= 30)
         );
-        assert_eq!(metrics.report(1, None).stalls_detected, 1);
+        // The verdict is stable until the heartbeat moves: checking
+        // again neither clears nor changes it.
+        assert!(matches!(dog.check(&heartbeat), WatchdogStatus::Stalled { .. }));
 
-        metrics.end_work();
-        assert_eq!(dog.check(&metrics), WatchdogStatus::Idle);
+        heartbeat.beat();
+        assert_eq!(dog.check(&heartbeat), WatchdogStatus::Healthy, "a beat revives it");
+
+        heartbeat.end();
+        assert_eq!(dog.check(&heartbeat), WatchdogStatus::Idle);
     }
 }
