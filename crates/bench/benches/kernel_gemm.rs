@@ -11,7 +11,7 @@
 //!
 //! Flags (`--test`, `--check [path]`) as in [`pcnn_bench::harness`].
 
-use pcnn_bench::harness::{time_pair, BenchArgs, Speedup};
+use pcnn_bench::harness::{machine, time_pair, BenchArgs, Speedup};
 use pcnn_core::pipeline::WINDOW_BATCH;
 use pcnn_core::{EednClassifier, EednClassifierConfig, WindowClassifier};
 use pcnn_eedn::reference::{conv2d_forward, ConvSpec};
@@ -46,18 +46,6 @@ impl Speedup for BenchResult {
     fn speedup(&self) -> f64 {
         self.speedup
     }
-}
-
-/// The measuring host: logical CPU count and CPU model name.
-fn machine() -> String {
-    let cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
-    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
-    let model = cpuinfo
-        .lines()
-        .find(|l| l.starts_with("model name"))
-        .and_then(|l| l.split(':').nth(1))
-        .map_or("unknown CPU", str::trim);
-    format!("{cpus} vCPU, {model}")
 }
 
 fn pseudo(data: &mut [f32], seed: u64) {

@@ -152,6 +152,19 @@ pub fn time_pair<A: FnMut(), B: FnMut()>(reps: usize, mut base: A, mut kernel: B
     (best_base, best_kernel)
 }
 
+/// The measuring host, recorded with every row: logical CPU count and
+/// CPU model name.
+pub fn machine() -> String {
+    let cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let model = cpuinfo
+        .lines()
+        .find(|l| l.starts_with("model name"))
+        .and_then(|l| l.split(':').nth(1))
+        .map_or("unknown CPU", str::trim);
+    format!("{cpus} vCPU, {model}")
+}
+
 /// The fields of a committed entry the gate reads.
 #[derive(Deserialize)]
 struct Committed {

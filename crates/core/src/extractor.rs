@@ -3,6 +3,7 @@
 use crate::error::Error;
 use pcnn_corelets::NApproxHogCorelet;
 use pcnn_hog::cell::CellExtractor;
+use pcnn_hog::napprox::MAX_BINS;
 use pcnn_hog::{BlockNorm, FpgaHog, HogDescriptor, NApproxHog, RawCells, TraditionalHog};
 use pcnn_parrot::{ParrotExtractor, ParrotNet};
 use pcnn_truenorth::{FaultPlan, FaultStats, SystemStats};
@@ -319,8 +320,9 @@ impl Extractor {
     /// # Errors
     ///
     /// [`Error::InvalidConfig`] when the spec carries values no
-    /// constructor would accept (a zero spike window, a Parrot network
-    /// with no outputs) — the decode-but-invalid shapes a corrupted or
+    /// constructor would accept (a zero spike window, an NApprox bin
+    /// count of 0 or above [`MAX_BINS`], a Parrot network with no
+    /// outputs) — the decode-but-invalid shapes a corrupted or
     /// hand-edited snapshot can produce.
     pub fn from_spec(spec: ExtractorSpec) -> crate::error::Result<Self> {
         let invalid =
@@ -332,6 +334,12 @@ impl Extractor {
                 Ok(Extractor::traditional_signed_18())
             }
             ExtractorSpec::NApprox { model, norm } => {
+                if model.bins == 0 || model.bins > MAX_BINS {
+                    return Err(invalid(format!(
+                        "NApprox bin count {} outside 1..={MAX_BINS}",
+                        model.bins
+                    )));
+                }
                 if let Some(q) = model.quant {
                     if q.input.levels() == 0 {
                         return Err(invalid("quantized model has zero input levels".to_owned()));
@@ -438,6 +446,29 @@ impl Extractor {
             Inner::Hardware(d) => d.extractor().cell_histogram(patch),
             Inner::Parrot(d) => d.extractor().cell_histogram(patch),
             Inner::Raw(d) => d.extractor().cell_histogram(patch),
+        }
+    }
+
+    /// The per-cell histograms of a `cells_x × cells_y` grid whose
+    /// top-left pixel is `(x0, y0)` in `img`, as `grid[cy][cx]` — see
+    /// [`CellExtractor::cell_grid`]. Equal, bit for bit, to
+    /// [`cell_histogram`](Extractor::cell_histogram) on each cell's
+    /// [`cell_patch`](pcnn_hog::cell::cell_patch).
+    pub fn cell_grid(
+        &self,
+        img: &GrayImage,
+        x0: usize,
+        y0: usize,
+        cells_x: usize,
+        cells_y: usize,
+    ) -> Vec<Vec<Vec<f32>>> {
+        match &self.inner {
+            Inner::Fpga(d) => d.extractor().cell_grid(img, x0, y0, cells_x, cells_y),
+            Inner::Traditional(d) => d.extractor().cell_grid(img, x0, y0, cells_x, cells_y),
+            Inner::NApprox(d) => d.extractor().cell_grid(img, x0, y0, cells_x, cells_y),
+            Inner::Hardware(d) => d.extractor().cell_grid(img, x0, y0, cells_x, cells_y),
+            Inner::Parrot(d) => d.extractor().cell_grid(img, x0, y0, cells_x, cells_y),
+            Inner::Raw(d) => d.extractor().cell_grid(img, x0, y0, cells_x, cells_y),
         }
     }
 

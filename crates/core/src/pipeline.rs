@@ -15,7 +15,7 @@ use crate::classifier::WindowClassifier;
 use crate::extractor::Extractor;
 use pcnn_eedn::Scratch;
 use pcnn_hog::block::assemble_descriptor_into;
-use pcnn_hog::cell::{cell_patch, CELL_SIZE};
+use pcnn_hog::cell::CELL_SIZE;
 use pcnn_vision::pyramid::{scale_pyramid, PyramidConfig};
 use pcnn_vision::{
     non_maximum_suppression, BoundingBox, Detection, DetectionCurve, Evaluator, GrayImage,
@@ -86,18 +86,7 @@ impl Detector {
     /// Computes the cell-histogram grid of one image: `grid[cy][cx]` for
     /// every complete 8×8 cell.
     pub fn cell_grid(extractor: &Extractor, img: &GrayImage) -> Vec<Vec<Vec<f32>>> {
-        let cells_x = img.width() / CELL_SIZE;
-        let cells_y = img.height() / CELL_SIZE;
-        (0..cells_y)
-            .map(|cy| {
-                (0..cells_x)
-                    .map(|cx| {
-                        let patch = cell_patch(img, 0, 0, cx, cy);
-                        extractor.cell_histogram(&patch)
-                    })
-                    .collect()
-            })
-            .collect()
+        extractor.cell_grid(img, 0, 0, img.width() / CELL_SIZE, img.height() / CELL_SIZE)
     }
 
     /// Number of valid window start rows in a level's cell grid (0 when

@@ -14,7 +14,7 @@
 //! detector continues the noise stream where the snapshot left it).
 
 use crate::classifier::{EednClassifier, EednClassifierState, WindowClassifier};
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::extractor::{Extractor, ExtractorSpec};
 use crate::pipeline::TrainedDetector;
 use pcnn_svm::{FeatureScaler, LinearSvm};
@@ -63,19 +63,33 @@ impl TrainedDetector {
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidConfig`](crate::Error::InvalidConfig) when the
-    /// snapshot decoded but describes an internally inconsistent
-    /// extractor or classifier (tampered or corrupted state).
+    /// [`Error::InvalidConfig`] when the snapshot decoded but describes
+    /// an internally inconsistent extractor or classifier (tampered or
+    /// corrupted state), including a classifier whose input width
+    /// differs from the extractor's descriptor length — a detector that
+    /// would panic on its first scored window.
     pub fn from_snapshot(snapshot: &DetectorSnapshot) -> Result<Self> {
         let extractor = Extractor::from_spec(snapshot.extractor.clone())?;
-        let classifier = match &snapshot.classifier {
-            ClassifierSnapshot::Svm { model, scaler } => {
-                WindowClassifier::Svm { model: model.clone(), scaler: scaler.clone() }
-            }
-            ClassifierSnapshot::Eedn(state) => {
-                WindowClassifier::Eedn(Box::new(EednClassifier::from_state(state)?))
-            }
+        let (classifier, widths) = match &snapshot.classifier {
+            ClassifierSnapshot::Svm { model, scaler } => (
+                WindowClassifier::Svm { model: model.clone(), scaler: scaler.clone() },
+                [model.dim(), scaler.dim()],
+            ),
+            ClassifierSnapshot::Eedn(state) => (
+                WindowClassifier::Eedn(Box::new(EednClassifier::from_state(state)?)),
+                [state.in_dim, state.scaler.dim()],
+            ),
         };
+        if let Some(&width) = widths.iter().find(|&&w| w != extractor.len()) {
+            return Err(Error::InvalidConfig {
+                what: "detector snapshot".to_owned(),
+                reason: format!(
+                    "the classifier takes {width} inputs but the {} extractor produces {}",
+                    extractor.kind(),
+                    extractor.len()
+                ),
+            });
+        }
         Ok(TrainedDetector { extractor, classifier })
     }
 }
@@ -84,7 +98,8 @@ impl TrainedDetector {
 mod tests {
     use super::*;
     use crate::classifier::EednClassifierConfig;
-    use pcnn_hog::BlockNorm;
+    use pcnn_hog::napprox::MAX_BINS;
+    use pcnn_hog::{BlockNorm, NApproxHog};
     use pcnn_svm::TrainConfig;
     use pcnn_vision::GrayImage;
 
@@ -155,8 +170,7 @@ mod tests {
         assert_eq!(restored.cell_histogram(&patch), clean.cell_histogram(&patch));
     }
 
-    #[test]
-    fn eedn_detector_roundtrips_bit_identically() {
+    fn eedn_detector() -> TrainedDetector {
         let ex = Extractor::napprox_quantized(64, BlockNorm::None);
         let mut xs = Vec::new();
         let mut ys = Vec::new();
@@ -172,8 +186,12 @@ mod tests {
             EednClassifierConfig { hidden1: 24, hidden2: 12, epochs: 2, ..Default::default() },
         )
         .unwrap();
-        let det =
-            TrainedDetector { extractor: ex, classifier: WindowClassifier::Eedn(Box::new(eedn)) };
+        TrainedDetector { extractor: ex, classifier: WindowClassifier::Eedn(Box::new(eedn)) }
+    }
+
+    #[test]
+    fn eedn_detector_roundtrips_bit_identically() {
+        let det = eedn_detector();
         let snap = det.to_snapshot();
         let json = serde_json::to_string(&snap).unwrap();
         let decoded: DetectorSnapshot = serde_json::from_str(&json).unwrap();
@@ -189,5 +207,58 @@ mod tests {
         })
         .unwrap_err();
         assert!(matches!(err, crate::Error::InvalidConfig { .. }), "{err}");
+    }
+
+    #[test]
+    fn napprox_bin_counts_outside_the_cap_are_rejected() {
+        for bins in [0, MAX_BINS + 1, 1 << 20] {
+            for model in [NApproxHog::full_precision(), NApproxHog::quantized(64)] {
+                let spec = ExtractorSpec::NApprox {
+                    model: NApproxHog { bins, ..model },
+                    norm: BlockNorm::L2,
+                };
+                let err = Extractor::from_spec(spec).unwrap_err();
+                assert!(matches!(err, crate::Error::InvalidConfig { .. }), "bins {bins}: {err}");
+            }
+        }
+        let spec = ExtractorSpec::NApprox {
+            model: NApproxHog { bins: MAX_BINS, ..NApproxHog::quantized(64) },
+            norm: BlockNorm::None,
+        };
+        assert_eq!(Extractor::from_spec(spec).unwrap().bins(), MAX_BINS);
+    }
+
+    #[test]
+    fn tampered_bin_counts_fail_to_decode() {
+        // Each of these decoded to a detector that panicked on its first
+        // scored window (and 2^20 bins first sized a 440M-float
+        // descriptor).
+        let json = serde_json::to_string(
+            &svm_detector(Extractor::napprox_fp(BlockNorm::L2)).to_snapshot(),
+        )
+        .unwrap();
+        for bins in [0usize, 9, 1 << 20] {
+            let mut tampered: DetectorSnapshot = serde_json::from_str(&json).unwrap();
+            let ExtractorSpec::NApprox { model, .. } = &mut tampered.extractor else {
+                panic!("an NApprox detector snapshots an NApprox spec");
+            };
+            model.bins = bins;
+            let err = TrainedDetector::from_snapshot(&tampered).unwrap_err();
+            assert!(matches!(err, crate::Error::InvalidConfig { .. }), "bins {bins}: {err}");
+        }
+    }
+
+    #[test]
+    fn classifier_width_must_match_the_extractor() {
+        // Valid extractor specs, each paired with a classifier trained on
+        // another descriptor length.
+        let mut svm = svm_detector(Extractor::napprox_fp(BlockNorm::L2)).to_snapshot();
+        svm.extractor = ExtractorSpec::Fpga;
+        let mut eedn = eedn_detector().to_snapshot();
+        eedn.extractor = ExtractorSpec::Raw;
+        for snap in [svm, eedn] {
+            let err = TrainedDetector::from_snapshot(&snap).unwrap_err();
+            assert!(matches!(err, crate::Error::InvalidConfig { .. }), "{err}");
+        }
     }
 }

@@ -33,6 +33,26 @@ pub trait CellExtractor {
 
     /// A short human-readable name for reports.
     fn name(&self) -> &str;
+
+    /// Computes the per-cell histograms of a `cells_x × cells_y` grid
+    /// whose top-left pixel is `(x0, y0)` in `img`, returned row-major
+    /// as `grid[cy][cx]`. Pixels beyond the image replicate the border.
+    ///
+    /// The provided body histograms each cell's
+    /// [`cell_patch`] in turn. The software HoG extractors override it
+    /// with one gradient pass over the whole region, which every cell
+    /// then reads; an override must equal the per-patch result bit for
+    /// bit.
+    fn cell_grid(
+        &self,
+        img: &GrayImage,
+        x0: usize,
+        y0: usize,
+        cells_x: usize,
+        cells_y: usize,
+    ) -> Vec<Vec<Vec<f32>>> {
+        grid_of(cells_x, cells_y, |cx, cy| self.cell_histogram(&cell_patch(img, x0, y0, cx, cy)))
+    }
 }
 
 impl<T: CellExtractor + ?Sized> CellExtractor for &T {
@@ -44,6 +64,102 @@ impl<T: CellExtractor + ?Sized> CellExtractor for &T {
     }
     fn name(&self) -> &str {
         (**self).name()
+    }
+    fn cell_grid(
+        &self,
+        img: &GrayImage,
+        x0: usize,
+        y0: usize,
+        cells_x: usize,
+        cells_y: usize,
+    ) -> Vec<Vec<Vec<f32>>> {
+        (**self).cell_grid(img, x0, y0, cells_x, cells_y)
+    }
+}
+
+/// A `cells_x × cells_y` grid, `grid[cy][cx] = cell(cx, cy)`, built in
+/// row-major order.
+fn grid_of(
+    cells_x: usize,
+    cells_y: usize,
+    mut cell: impl FnMut(usize, usize) -> Vec<f32>,
+) -> Vec<Vec<Vec<f32>>> {
+    (0..cells_y).map(|cy| (0..cells_x).map(|cx| cell(cx, cy)).collect()).collect()
+}
+
+/// A software extractor that histograms every cell from one field
+/// computed over a whole region: gradients or quantized pixels, plus
+/// the direction tables. A grid computes the field once and every cell
+/// reads it; a single patch is the one-cell region.
+///
+/// This is exact. A region is cropped with the same border replication
+/// as [`cell_patch`], so the pixels of a cell and its 1-px ring are the
+/// same values in the region as in the cell's own patch, and so are the
+/// differences of them.
+pub(crate) trait RegionExtractor {
+    /// What is computed once per region.
+    type Field;
+
+    /// Computes the field of `region`. Its outermost pixel ring is
+    /// derivative context only: no cell reads a gradient there.
+    fn field(&self, region: &GrayImage) -> Self::Field;
+
+    /// The histogram of the 8×8 cell whose top-left pixel is `(x, y)` in
+    /// field coordinates. The cell and its 1-px ring lie inside the
+    /// field.
+    fn cell_at(&self, field: &Self::Field, x: usize, y: usize) -> Vec<f32>;
+}
+
+/// [`CellExtractor::cell_histogram`] for a [`RegionExtractor`]: the patch
+/// is the region of its one cell.
+///
+/// # Panics
+///
+/// Panics if `patch` is not [`PATCH_SIZE`]×[`PATCH_SIZE`].
+pub(crate) fn region_histogram<E: RegionExtractor>(extractor: &E, patch: &GrayImage) -> Vec<f32> {
+    check_patch(patch);
+    extractor.cell_at(&extractor.field(patch), 1, 1)
+}
+
+/// [`CellExtractor::cell_grid`] for a [`RegionExtractor`]: one field over
+/// the grid's pixels plus a 1-px border-replicated ring.
+pub(crate) fn region_grid<E: RegionExtractor>(
+    extractor: &E,
+    img: &GrayImage,
+    x0: usize,
+    y0: usize,
+    cells_x: usize,
+    cells_y: usize,
+) -> Vec<Vec<Vec<f32>>> {
+    let region = img.crop(
+        x0 as isize - 1,
+        y0 as isize - 1,
+        cells_x * CELL_SIZE + 2,
+        cells_y * CELL_SIZE + 2,
+    );
+    let field = extractor.field(&region);
+    grid_of(cells_x, cells_y, |cx, cy| {
+        extractor.cell_at(&field, cx * CELL_SIZE + 1, cy * CELL_SIZE + 1)
+    })
+}
+
+/// An image mapped pixel by pixel to integers (quantization levels,
+/// 8-bit values), read by row.
+pub(crate) struct IntPlane<T> {
+    width: usize,
+    data: Vec<T>,
+}
+
+impl<T: Copy> IntPlane<T> {
+    /// Maps every pixel of `img` through `quantize`.
+    pub(crate) fn map(img: &GrayImage, quantize: impl Fn(f32) -> T) -> Self {
+        IntPlane { width: img.width(), data: img.pixels().iter().map(|&v| quantize(v)).collect() }
+    }
+
+    /// The values of row `y`.
+    #[inline]
+    pub(crate) fn row(&self, y: usize) -> &[T] {
+        &self.data[y * self.width..][..self.width]
     }
 }
 
@@ -74,30 +190,6 @@ pub fn cell_patch(
     let px = x0 as isize + (cell_x * CELL_SIZE) as isize - 1;
     let py = y0 as isize + (cell_y * CELL_SIZE) as isize - 1;
     img.crop(px, py, PATCH_SIZE, PATCH_SIZE)
-}
-
-/// Computes the per-cell histograms of a whole window: a
-/// `cells_x × cells_y` grid, returned row-major as `grid[cy][cx]`.
-pub fn window_cell_histograms<E: CellExtractor>(
-    extractor: &E,
-    img: &GrayImage,
-    x0: usize,
-    y0: usize,
-    cells_x: usize,
-    cells_y: usize,
-) -> Vec<Vec<Vec<f32>>> {
-    (0..cells_y)
-        .map(|cy| {
-            (0..cells_x)
-                .map(|cx| {
-                    let patch = cell_patch(img, x0, y0, cx, cy);
-                    let h = extractor.cell_histogram(&patch);
-                    debug_assert_eq!(h.len(), extractor.bins());
-                    h
-                })
-                .collect()
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -133,7 +225,7 @@ mod tests {
     #[test]
     fn window_grid_shape() {
         let img = GrayImage::new(64, 128);
-        let grid = window_cell_histograms(&MeanExtractor, &img, 0, 0, 8, 16);
+        let grid = MeanExtractor.cell_grid(&img, 0, 0, 8, 16);
         assert_eq!(grid.len(), 16);
         assert_eq!(grid[0].len(), 8);
         assert_eq!(grid[0][0].len(), 1);
@@ -148,7 +240,7 @@ mod tests {
                 img.set(16 + x, 24 + y, 1.0); // cell (2, 3)
             }
         }
-        let grid = window_cell_histograms(&MeanExtractor, &img, 0, 0, 8, 16);
+        let grid = MeanExtractor.cell_grid(&img, 0, 0, 8, 16);
         let mut bright = Vec::new();
         for (cy, row) in grid.iter().enumerate() {
             for (cx, h) in row.iter().enumerate() {

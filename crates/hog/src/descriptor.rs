@@ -1,7 +1,7 @@
 //! Window-level HoG descriptors: cell grid + optional block normalization.
 
 use crate::block::{assemble_descriptor, descriptor_len, BlockNorm};
-use crate::cell::{window_cell_histograms, CellExtractor, CELL_SIZE};
+use crate::cell::{CellExtractor, CELL_SIZE};
 use pcnn_vision::{GrayImage, WINDOW_HEIGHT, WINDOW_WIDTH};
 
 /// Cells across a standard detection window.
@@ -59,8 +59,7 @@ impl<E: CellExtractor> HogDescriptor<E> {
     /// `(x0, y0)` in `img`. The window may touch the image border; pixels
     /// sampled outside replicate the edge.
     pub fn window_descriptor(&self, img: &GrayImage, x0: usize, y0: usize) -> Vec<f32> {
-        let grid =
-            window_cell_histograms(&self.extractor, img, x0, y0, WINDOW_CELLS_X, WINDOW_CELLS_Y);
+        let grid = self.extractor.cell_grid(img, x0, y0, WINDOW_CELLS_X, WINDOW_CELLS_Y);
         assemble_descriptor(&grid, self.norm)
     }
 

@@ -11,7 +11,9 @@
 //!   Euclidean norm (no square root, ≤ 11.8 % error);
 //! * votes are magnitude-weighted with no bin interpolation.
 
-use crate::cell::{check_patch, CellExtractor, CELL_SIZE, PATCH_SIZE};
+use crate::cell::{
+    region_grid, region_histogram, CellExtractor, IntPlane, RegionExtractor, CELL_SIZE,
+};
 use pcnn_vision::GrayImage;
 use serde::{Deserialize, Serialize};
 
@@ -93,30 +95,34 @@ impl FpgaHog {
     }
 }
 
-impl CellExtractor for FpgaHog {
-    fn bins(&self) -> usize {
-        self.bins
+/// What every FPGA cell of a region reads: its 8-bit pixels and the
+/// tangent LUT.
+pub(crate) struct FpgaField {
+    pixels: IntPlane<i32>,
+    lut: Vec<i32>,
+}
+
+impl RegionExtractor for FpgaHog {
+    type Field = FpgaField;
+
+    fn field(&self, region: &GrayImage) -> FpgaField {
+        // 8-bit pixel quantization.
+        let pixels = IntPlane::map(region, |v| (v.clamp(0.0, 1.0) * 255.0).round() as i32);
+        FpgaField { pixels, lut: self.tan_lut() }
     }
 
-    fn cell_histogram(&self, patch: &GrayImage) -> Vec<f32> {
-        check_patch(patch);
-        // 8-bit pixel quantization.
-        let mut px = [[0i32; PATCH_SIZE]; PATCH_SIZE];
-        for (y, row) in px.iter_mut().enumerate() {
-            for (x, v) in row.iter_mut().enumerate() {
-                *v = (patch.get(x, y).clamp(0.0, 1.0) * 255.0).round() as i32;
-            }
-        }
-        let lut = self.tan_lut();
+    fn cell_at(&self, field: &FpgaField, x: usize, y: usize) -> Vec<f32> {
         let mut hist = vec![0.0f32; self.bins];
-        for y in 1..=CELL_SIZE {
-            for x in 1..=CELL_SIZE {
-                let gx = px[y][x + 1] - px[y][x - 1];
-                let gy = px[y - 1][x] - px[y + 1][x];
+        for row in y..y + CELL_SIZE {
+            let (up, mid, down) =
+                (field.pixels.row(row - 1), field.pixels.row(row), field.pixels.row(row + 1));
+            for col in x..x + CELL_SIZE {
+                let gx = mid[col + 1] - mid[col - 1];
+                let gy = up[col] - down[col];
                 if gx == 0 && gy == 0 {
                     continue;
                 }
-                let bin = self.bin_of(gx, gy, &lut);
+                let bin = self.bin_of(gx, gy, &field.lut);
                 // max + min/2 magnitude approximation.
                 let (a, b) = (gx.abs().max(gy.abs()), gx.abs().min(gy.abs()));
                 let mag = a + b / 2;
@@ -125,9 +131,30 @@ impl CellExtractor for FpgaHog {
         }
         hist
     }
+}
+
+impl CellExtractor for FpgaHog {
+    fn bins(&self) -> usize {
+        self.bins
+    }
+
+    fn cell_histogram(&self, patch: &GrayImage) -> Vec<f32> {
+        region_histogram(self, patch)
+    }
 
     fn name(&self) -> &str {
         "fpga-hog"
+    }
+
+    fn cell_grid(
+        &self,
+        img: &GrayImage,
+        x0: usize,
+        y0: usize,
+        cells_x: usize,
+        cells_y: usize,
+    ) -> Vec<Vec<Vec<f32>>> {
+        region_grid(self, img, x0, y0, cells_x, cells_y)
     }
 }
 

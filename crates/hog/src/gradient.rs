@@ -29,14 +29,16 @@ impl GradientField {
     /// Computes centered gradients of `img`.
     pub fn compute(img: &GrayImage) -> Self {
         let (w, h) = (img.width(), img.height());
+        let px = img.pixels();
         let mut gx = vec![0.0; w * h];
         let mut gy = vec![0.0; w * h];
         for y in 0..h {
+            let row = &px[y * w..][..w];
+            let up = &px[y.saturating_sub(1) * w..][..w];
+            let down = &px[(y + 1).min(h - 1) * w..][..w];
             for x in 0..w {
-                let xi = x as isize;
-                let yi = y as isize;
-                gx[y * w + x] = img.get_clamped(xi + 1, yi) - img.get_clamped(xi - 1, yi);
-                gy[y * w + x] = img.get_clamped(xi, yi - 1) - img.get_clamped(xi, yi + 1);
+                gx[y * w + x] = row[(x + 1).min(w - 1)] - row[x.saturating_sub(1)];
+                gy[y * w + x] = up[x] - down[x];
             }
         }
         GradientField { width: w, height: h, gx, gy }
@@ -63,6 +65,18 @@ impl GradientField {
         (self.gx[y * self.width + x], self.gy[y * self.width + x])
     }
 
+    /// The `Ix` and `Iy` values of pixel row `y`, for loops that read a
+    /// span of a row rather than one asserted pixel at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `y` is out of bounds.
+    #[inline]
+    pub(crate) fn row(&self, y: usize) -> (&[f32], &[f32]) {
+        let span = y * self.width..(y + 1) * self.width;
+        (&self.gx[span.clone()], &self.gy[span])
+    }
+
     /// Euclidean gradient magnitude at a pixel.
     ///
     /// # Panics
@@ -70,7 +84,7 @@ impl GradientField {
     /// Panics if the coordinate is out of bounds.
     pub fn magnitude(&self, x: usize, y: usize) -> f32 {
         let (gx, gy) = self.at(x, y);
-        (gx * gx + gy * gy).sqrt()
+        magnitude(gx, gy)
     }
 
     /// Gradient angle in radians in `[0, 2π)`, measured counter-clockwise
@@ -81,12 +95,25 @@ impl GradientField {
     /// Panics if the coordinate is out of bounds.
     pub fn angle(&self, x: usize, y: usize) -> f32 {
         let (gx, gy) = self.at(x, y);
-        let a = gy.atan2(gx);
-        if a < 0.0 {
-            a + 2.0 * std::f32::consts::PI
-        } else {
-            a
-        }
+        angle(gx, gy)
+    }
+}
+
+/// Euclidean magnitude of the gradient `(gx, gy)`.
+#[inline]
+pub(crate) fn magnitude(gx: f32, gy: f32) -> f32 {
+    (gx * gx + gy * gy).sqrt()
+}
+
+/// Angle of the gradient `(gx, gy)` in radians in `[0, 2π)`, measured
+/// counter-clockwise from the +x axis.
+#[inline]
+pub(crate) fn angle(gx: f32, gy: f32) -> f32 {
+    let a = gy.atan2(gx);
+    if a < 0.0 {
+        a + 2.0 * std::f32::consts::PI
+    } else {
+        a
     }
 }
 

@@ -25,11 +25,19 @@
 //!   implementation in `pcnn-corelets`, which is how the workspace
 //!   reproduces the ≥ 99.5 % hardware/software correlation check.
 
-use crate::cell::{check_patch, CellExtractor, CELL_SIZE, PATCH_SIZE};
+use crate::cell::{
+    region_grid, region_histogram, CellExtractor, IntPlane, RegionExtractor, CELL_SIZE,
+};
+use crate::gradient::GradientField;
 use crate::quantize::Quantization;
 use pcnn_vision::GrayImage;
 use serde::{Deserialize, Serialize};
 use std::f32::consts::PI;
+
+/// The most direction bins an NApprox model may have. It sizes the
+/// per-pixel inner-product array of the quantized comparison circuit;
+/// the paper uses 18.
+pub const MAX_BINS: usize = 64;
 
 /// Quantization parameters for the TrueNorth-compatible mode.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -104,23 +112,40 @@ impl NApproxHog {
             .collect()
     }
 
-    /// Bin center angles in radians.
-    fn centers(&self) -> Vec<f32> {
-        (0..self.bins).map(|b| 2.0 * PI * (b as f32 + 0.5) / self.bins as f32).collect()
+    /// The `(cos θ_b, sin θ_b)` direction of every bin center `θ_b`.
+    fn directions(&self) -> Vec<(f32, f32)> {
+        (0..self.bins)
+            .map(|b| {
+                let theta = 2.0 * PI * (b as f32 + 0.5) / self.bins as f32;
+                (theta.cos(), theta.sin())
+            })
+            .collect()
     }
 
-    fn histogram_fp(&self, patch: &GrayImage) -> Vec<f32> {
-        let centers = self.centers();
+    /// Full precision: the argmax direction of each pixel's gradient
+    /// votes one count when its inner product clears the threshold.
+    fn cell_fp(
+        &self,
+        gradients: &GradientField,
+        directions: &[(f32, f32)],
+        x: usize,
+        y: usize,
+    ) -> Vec<f32> {
         let mut hist = vec![0.0f32; self.bins];
-        for y in 1..=CELL_SIZE {
-            for x in 1..=CELL_SIZE {
-                let (xi, yi) = (x as isize, y as isize);
-                let ix = patch.get_clamped(xi + 1, yi) - patch.get_clamped(xi - 1, yi);
-                let iy = patch.get_clamped(xi, yi - 1) - patch.get_clamped(xi, yi + 1);
+        for row in y..y + CELL_SIZE {
+            let (gx, gy) = gradients.row(row);
+            for (&ix, &iy) in gx[x..x + CELL_SIZE].iter().zip(&gy[x..x + CELL_SIZE]) {
+                // No inner product exceeds |Ix| + |Iy| (|cos|, |sin| <= 1,
+                // and rounding is monotone), so a pixel whose sum does
+                // not clear the threshold cannot vote: skipping it
+                // changes no count.
+                if ix.abs() + iy.abs() <= self.vote_threshold {
+                    continue;
+                }
                 let mut best = f32::NEG_INFINITY;
                 let mut best_bin = 0;
-                for (b, &theta) in centers.iter().enumerate() {
-                    let ip = ix * theta.cos() + iy * theta.sin();
+                for (b, &(c, s)) in directions.iter().enumerate() {
+                    let ip = ix * c + iy * s;
                     if ip > best {
                         best = ip;
                         best_bin = b;
@@ -134,35 +159,44 @@ impl NApproxHog {
         hist
     }
 
-    fn histogram_quantized(&self, patch: &GrayImage, q: NApproxQuant) -> Vec<f32> {
-        let weights = self.weight_table(q.weight_scale);
-        // Integer threshold in the same fixed-point scale as the inner
-        // products: level × weight_scale.
-        let thresh =
-            (self.vote_threshold * q.input.levels() as f32 * q.weight_scale as f32).round() as i64;
-        // Quantize the patch to integer levels once.
-        let mut lv = [[0i64; PATCH_SIZE]; PATCH_SIZE];
-        for (y, row) in lv.iter_mut().enumerate() {
-            for (x, v) in row.iter_mut().enumerate() {
-                *v = i64::from(q.input.level_of(patch.get(x, y)));
-            }
-        }
-        let mut hist = vec![0.0f32; self.bins];
-        for y in 1..=CELL_SIZE {
-            for x in 1..=CELL_SIZE {
-                let ix = lv[y][x + 1] - lv[y][x - 1];
-                let iy = lv[y - 1][x] - lv[y + 1][x];
-                let ips: Vec<i64> =
-                    weights.iter().map(|&(c, s)| ix * i64::from(c) + iy * i64::from(s)).collect();
+    /// Quantized: integer gradients of the pixel levels against the
+    /// integer weight table, voted by the hardware comparison circuit.
+    fn cell_quantized(
+        &self,
+        levels: &IntPlane<i64>,
+        weights: &[(i64, i64)],
+        max_weight: i64,
+        threshold: i64,
+        x: usize,
+        y: usize,
+    ) -> Vec<f32> {
+        let bins = self.bins;
+        let mut hist = vec![0.0f32; bins];
+        let mut ips = [0i64; MAX_BINS];
+        let ips = &mut ips[..bins];
+        for row in y..y + CELL_SIZE {
+            let (up, mid, down) = (levels.row(row - 1), levels.row(row), levels.row(row + 1));
+            for col in x..x + CELL_SIZE {
+                let ix = mid[col + 1] - mid[col - 1];
+                let iy = up[col] - down[col];
+                // No inner product exceeds (|Ix| + |Iy|) · max_weight
+                // (saturating only loosens the bound), so below it no
+                // bin can clear the threshold: skipping changes no vote.
+                if (ix.abs() + iy.abs()).saturating_mul(max_weight) <= threshold {
+                    continue;
+                }
+                for (ip, &(c, s)) in ips.iter_mut().zip(weights) {
+                    *ip = ix * c + iy * s;
+                }
                 // The hardware comparison circuit (pcnn-corelets): bin b
                 // votes when it weakly beats its previous neighbour,
                 // strictly beats its next neighbour, and clears the
                 // magnitude threshold. For the quantized-cosine profile
                 // this selects the argmax, with hardware tie-breaking.
-                for b in 0..self.bins {
-                    let prev = ips[(b + self.bins - 1) % self.bins];
-                    let next = ips[(b + 1) % self.bins];
-                    if ips[b] >= prev && ips[b] > next && ips[b] > thresh {
+                for b in 0..bins {
+                    let prev = ips[(b + bins - 1) % bins];
+                    let next = ips[(b + 1) % bins];
+                    if ips[b] >= prev && ips[b] > next && ips[b] > threshold {
                         hist[b] += 1.0;
                     }
                 }
@@ -172,17 +206,66 @@ impl NApproxHog {
     }
 }
 
+/// What every NApprox cell of a region reads, computed once per region.
+pub(crate) enum NApproxField {
+    /// Full precision: the region's gradients and the direction table.
+    Fp { gradients: GradientField, directions: Vec<(f32, f32)> },
+    /// Quantized: the region's pixel levels, the integer weight table,
+    /// its largest weight magnitude, and the vote threshold in the inner
+    /// products' fixed-point scale.
+    Quantized { levels: IntPlane<i64>, weights: Vec<(i64, i64)>, max_weight: i64, threshold: i64 },
+}
+
+impl RegionExtractor for NApproxHog {
+    type Field = NApproxField;
+
+    fn field(&self, region: &GrayImage) -> NApproxField {
+        match self.quant {
+            None => NApproxField::Fp {
+                gradients: GradientField::compute(region),
+                directions: self.directions(),
+            },
+            Some(q) => {
+                assert!(
+                    self.bins <= MAX_BINS,
+                    "NApprox supports at most {MAX_BINS} bins, got {}",
+                    self.bins
+                );
+                let weights: Vec<(i64, i64)> = self
+                    .weight_table(q.weight_scale)
+                    .into_iter()
+                    .map(|(c, s)| (i64::from(c), i64::from(s)))
+                    .collect();
+                let max_weight =
+                    weights.iter().map(|&(c, s)| c.abs().max(s.abs())).max().unwrap_or(0);
+                // Integer threshold in the same fixed-point scale as the
+                // inner products: level × weight_scale.
+                let threshold =
+                    (self.vote_threshold * q.input.levels() as f32 * q.weight_scale as f32).round()
+                        as i64;
+                let levels = IntPlane::map(region, |v| i64::from(q.input.level_of(v)));
+                NApproxField::Quantized { levels, weights, max_weight, threshold }
+            }
+        }
+    }
+
+    fn cell_at(&self, field: &NApproxField, x: usize, y: usize) -> Vec<f32> {
+        match field {
+            NApproxField::Fp { gradients, directions } => self.cell_fp(gradients, directions, x, y),
+            NApproxField::Quantized { levels, weights, max_weight, threshold } => {
+                self.cell_quantized(levels, weights, *max_weight, *threshold, x, y)
+            }
+        }
+    }
+}
+
 impl CellExtractor for NApproxHog {
     fn bins(&self) -> usize {
         self.bins
     }
 
     fn cell_histogram(&self, patch: &GrayImage) -> Vec<f32> {
-        check_patch(patch);
-        match self.quant {
-            None => self.histogram_fp(patch),
-            Some(q) => self.histogram_quantized(patch, q),
-        }
+        region_histogram(self, patch)
     }
 
     fn name(&self) -> &str {
@@ -191,6 +274,17 @@ impl CellExtractor for NApproxHog {
         } else {
             "napprox-hog-fp"
         }
+    }
+
+    fn cell_grid(
+        &self,
+        img: &GrayImage,
+        x0: usize,
+        y0: usize,
+        cells_x: usize,
+        cells_y: usize,
+    ) -> Vec<Vec<Vec<f32>>> {
+        region_grid(self, img, x0, y0, cells_x, cells_y)
     }
 }
 
@@ -330,5 +424,82 @@ mod tests {
         // Adjacent directions differ.
         let t = hog.weight_table(16);
         assert_ne!(t[0], t[1]);
+    }
+
+    /// Table 1 written out per pixel: `cos`/`sin` of each bin center,
+    /// every pixel scored against every direction.
+    fn per_pixel_reference(hog: &NApproxHog, patch: &GrayImage) -> Vec<f32> {
+        let mut hist = vec![0.0f32; hog.bins];
+        for y in 1..=CELL_SIZE {
+            for x in 1..=CELL_SIZE {
+                let ix = patch.get(x + 1, y) - patch.get(x - 1, y);
+                let iy = patch.get(x, y - 1) - patch.get(x, y + 1);
+                match hog.quant {
+                    None => {
+                        let (mut best, mut best_bin) = (f32::NEG_INFINITY, 0);
+                        for b in 0..hog.bins {
+                            let theta = 2.0 * PI * (b as f32 + 0.5) / hog.bins as f32;
+                            let ip = ix * theta.cos() + iy * theta.sin();
+                            if ip > best {
+                                (best, best_bin) = (ip, b);
+                            }
+                        }
+                        if best > hog.vote_threshold {
+                            hist[best_bin] += 1.0;
+                        }
+                    }
+                    Some(q) => {
+                        let lv = |x: usize, y: usize| i64::from(q.input.level_of(patch.get(x, y)));
+                        let (ix, iy) = (lv(x + 1, y) - lv(x - 1, y), lv(x, y - 1) - lv(x, y + 1));
+                        let thresh =
+                            (hog.vote_threshold * q.input.levels() as f32 * q.weight_scale as f32)
+                                .round() as i64;
+                        let ips: Vec<i64> = hog
+                            .weight_table(q.weight_scale)
+                            .iter()
+                            .map(|&(c, s)| ix * i64::from(c) + iy * i64::from(s))
+                            .collect();
+                        let n = hog.bins;
+                        for b in 0..n {
+                            let (prev, next) = (ips[(b + n - 1) % n], ips[(b + 1) % n]);
+                            if ips[b] >= prev && ips[b] > next && ips[b] > thresh {
+                                hist[b] += 1.0;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        hist
+    }
+
+    #[test]
+    fn direction_tables_and_threshold_skips_match_the_per_pixel_reference() {
+        // Low-contrast patches put many gradients near the vote
+        // threshold, where skipping sub-threshold pixels must not
+        // change a count.
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0x7ab1e);
+        let models = [
+            NApproxHog::full_precision(),
+            NApproxHog { bins: 7, vote_threshold: 0.0, ..NApproxHog::full_precision() },
+            NApproxHog::quantized(64),
+            NApproxHog::quantized(4),
+            NApproxHog { bins: 12, vote_threshold: 0.02, ..NApproxHog::quantized(32) },
+        ];
+        for _ in 0..400 {
+            let amplitude = [0.04f32, 0.08, 0.15, 1.0][rng.random_range(0..4)];
+            let data: Vec<f32> =
+                (0..100).map(|_| 0.5 + amplitude * (rng.random::<f32>() - 0.5)).collect();
+            let patch = GrayImage::from_vec(10, 10, data);
+            for hog in &models {
+                let got: Vec<u32> =
+                    hog.cell_histogram(&patch).iter().map(|v| v.to_bits()).collect();
+                let want: Vec<u32> =
+                    per_pixel_reference(hog, &patch).iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "{hog:?}");
+            }
+        }
     }
 }

@@ -5,8 +5,8 @@
 //! interpolation — the "weighted voting in magnitude" with aliasing
 //! mitigation that the paper's Table 1 lists as the original computation.
 
-use crate::cell::{check_patch, CellExtractor, CELL_SIZE};
-use crate::gradient::GradientField;
+use crate::cell::{region_grid, region_histogram, CellExtractor, RegionExtractor, CELL_SIZE};
+use crate::gradient::{angle, magnitude, GradientField};
 use pcnn_vision::GrayImage;
 use serde::{Deserialize, Serialize};
 use std::f32::consts::PI;
@@ -52,25 +52,25 @@ impl TraditionalHog {
     }
 }
 
-impl CellExtractor for TraditionalHog {
-    fn bins(&self) -> usize {
-        self.bins
+impl RegionExtractor for TraditionalHog {
+    type Field = GradientField;
+
+    fn field(&self, region: &GrayImage) -> GradientField {
+        GradientField::compute(region)
     }
 
-    fn cell_histogram(&self, patch: &GrayImage) -> Vec<f32> {
-        check_patch(patch);
-        let g = GradientField::compute(patch);
+    fn cell_at(&self, g: &GradientField, x: usize, y: usize) -> Vec<f32> {
         let span = self.span();
         let bin_width = span / self.bins as f32;
         let mut hist = vec![0.0f32; self.bins];
-        // Central 8×8 region of the 10×10 patch.
-        for y in 1..=CELL_SIZE {
-            for x in 1..=CELL_SIZE {
-                let mag = g.magnitude(x, y);
+        for row in y..y + CELL_SIZE {
+            let (gx, gy) = g.row(row);
+            for (&gx, &gy) in gx[x..x + CELL_SIZE].iter().zip(&gy[x..x + CELL_SIZE]) {
+                let mag = magnitude(gx, gy);
                 if mag == 0.0 {
                     continue;
                 }
-                let mut angle = g.angle(x, y);
+                let mut angle = angle(gx, gy);
                 if !self.signed {
                     angle %= PI;
                 }
@@ -91,9 +91,30 @@ impl CellExtractor for TraditionalHog {
         }
         hist
     }
+}
+
+impl CellExtractor for TraditionalHog {
+    fn bins(&self) -> usize {
+        self.bins
+    }
+
+    fn cell_histogram(&self, patch: &GrayImage) -> Vec<f32> {
+        region_histogram(self, patch)
+    }
 
     fn name(&self) -> &str {
         "traditional-hog"
+    }
+
+    fn cell_grid(
+        &self,
+        img: &GrayImage,
+        x0: usize,
+        y0: usize,
+        cells_x: usize,
+        cells_y: usize,
+    ) -> Vec<Vec<Vec<f32>>> {
+        region_grid(self, img, x0, y0, cells_x, cells_y)
     }
 }
 
